@@ -126,13 +126,9 @@ def verify_family(f: FamilyId) -> FamilyVerification:
     g = family_plumbing(f)
     oracle = canonical_plumbing(brieskorn_seifert(*brieskorn_params(f)))
     rep = report(g)
+    iso = plumbings_isomorphic(g, oracle)
     checks: List[CheckResult] = [
-        CheckResult(
-            "matches_seifert_plumbing",
-            plumbings_isomorphic(g, oracle),
-            True,
-            plumbings_isomorphic(g, oracle),
-        ),
+        CheckResult("matches_seifert_plumbing", iso, True, iso),
         CheckResult(
             "inertia",
             rep.inertia == (0, 0, 5 + f.n),

@@ -160,6 +160,15 @@ class FramedLinkMatrix:
             matrix = data["matrix"]
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed framed link JSON: %s" % exc) from None
+        for cid, _ in comps:
+            if type(cid) is not str:
+                raise ValueError("component id %r must be a string" % (cid,))
+        if type(matrix) is not list or any(type(row) is not list for row in matrix):
+            raise ValueError("matrix must be a list of rows")
+        for row in matrix:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError("matrix entries must be integers, got %r" % (x,))
         return cls(comps, matrix)
 
     def __eq__(self, other: object) -> bool:
@@ -334,8 +343,7 @@ def surgery_search(
     keeps those whose augmented matrix has determinant 0, cokernel Z
     (Smith factors 1, ..., 1, 0) and whose greedy reduction terminates
     at the single 0-framed component.  Candidates are homology-level
-    only; hits are returned in lexicographic vector order.  Candidate
-    evaluations share nothing and may run concurrently.
+    only; hits are returned in lexicographic vector order.
     """
     if max_link < 1:
         raise ValueError("max_link must be >= 1")

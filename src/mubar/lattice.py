@@ -1,10 +1,10 @@
 """Exact linear algebra for small symmetric integer matrices.
 
-Everything here is exact: determinants are fraction-free (Bareiss),
-inertia is computed by congruence diagonalization over the rationals
-(with an integer leading-minor fast path), mod-2 systems are solved by
-Gaussian elimination over GF(2), and Smith normal form uses integer row
-and column operations.  Intermediate values use Python's
+Everything here is exact.  Determinant and inertia come from one
+fraction-free (Bareiss) symmetric elimination on the upper triangle,
+whose zero pivots are met by integral congruences; mod-2 systems are
+solved by Gaussian elimination over GF(2), and Smith normal form uses
+integer row and column operations.  Intermediate values use Python's
 arbitrary-precision integers throughout; nothing rounds and nothing
 overflows.
 
@@ -15,7 +15,6 @@ and its inertia is (0, 0, 0).
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -100,150 +99,89 @@ class Mod2Failure(Enum):
     NON_UNIQUE = "non-unique"
 
 
-def determinant(m: SymmetricIntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+def _pivot_first(tri: List[List[int]]):
+    """A congruent active block whose first diagonal entry is nonzero.
 
-    Row pivoting handles zero pivots; every interior division is exact
-    by the Sylvester identity, so the result is an exact integer.
+    A nonzero diagonal entry is swapped to the front.  When the whole
+    diagonal is zero but a_ij is not, the unimodular change e_i -> e_i + e_j
+    puts 2 a_ij on the diagonal first.  Returns None for the zero block.
+    The block comes and goes as upper-triangle rows, tri[i][j - i] = a_ij.
     """
-    n = m.dim
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            akk = a[k][k]
-            arow = a[i]
-            krow = a[k]
-            for j in range(k + 1, n):
-                arow[j] = (arow[j] * akk - aik * krow[j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _leading_minors(m: SymmetricIntMatrix):
-    """Leading principal minors D_1..D_n via Bareiss, or None if one vanishes."""
-    n = m.dim
-    a = m.to_lists()
-    minors = []
-    prev = 1
-    for k in range(n):
-        d = a[k][k]
-        if d == 0:
-            return None
-        minors.append(d)
-        if k < n - 1:
-            for i in range(k + 1, n):
-                aik = a[i][k]
-                arow = a[i]
-                krow = a[k]
-                for j in range(k + 1, n):
-                    arow[j] = (arow[j] * d - aik * krow[j]) // prev
-            prev = d
-    return minors
-
-
-def _sym_swap(a: List[List[Fraction]], i: int, j: int) -> None:
-    if i == j:
-        return
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _inertia_congruence(m: SymmetricIntMatrix) -> Tuple[int, int, int]:
-    """Inertia by exact congruence diagonalization over the rationals.
-
-    Nonzero diagonal pivots contribute their sign; when the active
-    diagonal is all zero, a nonzero off-diagonal entry spans a
-    hyperbolic 2x2 block contributing (1, 0, 1).
-    """
-    n = m.dim
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    n_plus = n_zero = n_minus = 0
-    p = 0
-    while p < n:
-        piv = next((i for i in range(p, n) if a[i][i] != 0), None)
-        if piv is not None:
-            _sym_swap(a, p, piv)
-            d = a[p][p]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            for i in range(p + 1, n):
-                if a[i][p]:
-                    t = a[i][p] / d
-                    prow = a[p]
-                    irow = a[i]
-                    for j in range(p + 1, n):
-                        irow[j] -= t * prow[j]
-            # column p is never read again; the Schur complement above
-            # keeps the active block symmetric
-            p += 1
-            continue
-        off = None
-        for i in range(p, n):
-            for j in range(i + 1, n):
-                if a[i][j] != 0:
-                    off = (i, j)
-                    break
-            if off:
-                break
+    n = len(tri)
+    full = [[0] * n for _ in range(n)]
+    for i, row in enumerate(tri):
+        for j, x in enumerate(row, i):
+            full[i][j] = full[j][i] = x
+    t = next((i for i in range(1, n) if full[i][i]), None)
+    if t is None:
+        off = next(
+            ((i, j) for i in range(n) for j in range(i + 1, n) if full[i][j]),
+            None,
+        )
         if off is None:
-            n_zero += n - p
-            break
-        i, j = off
-        _sym_swap(a, p, i)
-        if j == p:
-            j = i
-        _sym_swap(a, p + 1, j)
-        c = a[p][p + 1]
-        for r in range(p + 2, n):
-            rp, rq = a[r][p], a[r][p + 1]
-            if rp or rq:
-                prow = a[p]
-                qrow = a[p + 1]
-                rrow = a[r]
-                for s in range(p + 2, n):
-                    rrow[s] -= (rp * qrow[s] + rq * prow[s]) / c
-        n_plus += 1
-        n_minus += 1
-        p += 2
-    return (n_plus, n_zero, n_minus)
+            return None
+        t, j = off
+        full[t] = [x + y for x, y in zip(full[t], full[j])]
+        for row in full:
+            row[t] += row[j]
+    order = list(range(n))
+    order[0], order[t] = t, 0
+    return [[full[i][j] for j in order[k:]] for k, i in enumerate(order)]
+
+
+def _eliminate(m: SymmetricIntMatrix) -> Tuple[int, Tuple[int, int, int]]:
+    """(determinant, inertia) from one fraction-free symmetric elimination.
+
+    Bareiss elimination on the upper triangle: the active block after k
+    pivots holds the (k+1)-minors bordering the leading k x k block, so
+    every division by the previous pivot is exact.  Zero pivots are
+    handled by the unimodular congruences of _pivot_first, which keep
+    the determinant and the inertia.  The pivots D_1, ..., D_r are then
+    nonzero leading minors of a form congruent to M over the integers,
+    and an all-zero active block is the radical: det is D_n when r = n
+    and 0 otherwise, n_zero is n - r, and n_minus is the number of sign
+    changes in 1, D_1, ..., D_r (Jacobi).
+    """
+    tri = [list(row[i:]) for i, row in enumerate(m.rows)]
+    n = len(tri)
+    prev = 1
+    rank = n_minus = 0
+    for k in range(n):
+        top = tri[k]
+        p = top[0]
+        if not p:
+            active = _pivot_first(tri[k:])
+            if active is None:
+                break
+            tri[k:] = active
+            top = tri[k]
+            p = top[0]
+        rank += 1
+        if (p < 0) != (prev < 0):
+            n_minus += 1
+        for i in range(k + 1, n):
+            row = tri[i]
+            off = i - k
+            c = top[off]
+            if c:
+                for j in range(len(row)):
+                    row[j] = (row[j] * p - c * top[off + j]) // prev
+            else:  # plumbing forms are sparse: most rows only rescale
+                for j in range(len(row)):
+                    row[j] = row[j] * p // prev
+        prev = p
+    det = prev if rank == n else 0
+    return det, (rank - n_minus, n - rank, n_minus)
+
+
+def determinant(m: SymmetricIntMatrix) -> int:
+    """Exact determinant; see _eliminate."""
+    return _eliminate(m)[0]
 
 
 def inertia(m: SymmetricIntMatrix) -> Tuple[int, int, int]:
-    """Inertia triple (n_plus, n_zero, n_minus), computed exactly.
-
-    Fast path: when no leading principal minor vanishes, Jacobi's
-    criterion gives n_minus as the number of sign changes in the
-    fraction-free minor sequence 1, D_1, ..., D_n.  Otherwise falls
-    back to congruence diagonalization over the rationals.
-    """
-    n = m.dim
-    if n == 0:
-        return (0, 0, 0)
-    minors = _leading_minors(m)
-    if minors is None:
-        return _inertia_congruence(m)
-    n_minus = 0
-    last = 1
-    for d in minors:
-        s = 1 if d > 0 else -1
-        if s != last:
-            n_minus += 1
-        last = s
-    return (n - n_minus, 0, n_minus)
+    """Inertia triple (n_plus, n_zero, n_minus), exactly; see _eliminate."""
+    return _eliminate(m)[1]
 
 
 def signature(m: SymmetricIntMatrix) -> int:

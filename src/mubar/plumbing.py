@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .lattice import (
     Mod2Failure,
     SymmetricIntMatrix,
+    _eliminate,
     determinant,
     inertia,
     solve_mod2,
@@ -113,13 +114,16 @@ class PlumbingGraph:
 
     @classmethod
     def _from_parts(cls, ids, weights, index, edges, adj) -> "PlumbingGraph":
-        """Trusted constructor for internally built, known-valid graphs."""
+        """Trusted constructor for internally built, known-valid graphs.
+
+        Takes the tuples it stores as they are; adj is a tuple of tuples.
+        """
         g = object.__new__(cls)
-        g._ids = tuple(ids)
-        g._weights = tuple(weights)
+        g._ids = ids
+        g._weights = weights
         g._index = index
-        g._edges = tuple(edges)
-        g._adj = tuple(tuple(a) for a in adj)
+        g._edges = edges
+        g._adj = adj
         g._adj_ids = None
         return g
 
@@ -191,24 +195,31 @@ def star(center_weight: int, arms: Sequence[Sequence[int]]) -> PlumbingGraph:
         raise ValueError("center weight must be an integer")
     ids = ["c"]
     weights = [center_weight]
-    index = {"c": 0}
     edges: List[Tuple[str, str]] = []
-    adj: List[List[int]] = [[]]
+    adj: List[Tuple[int, ...]] = [()]
+    center_adj: List[int] = []
     for ai, arm in enumerate(arms, start=1):
-        prev = 0
+        fmt = "a%d_%%d" % ai
+        first = len(ids)
+        prev, prev_id = 0, "c"
         for vi, w in enumerate(arm, start=1):
             if not isinstance(w, int):
                 raise ValueError("arm weights must be integers")
-            vid = "a%d_%d" % (ai, vi)
             cur = len(ids)
-            index[vid] = cur
+            vid = fmt % vi
             ids.append(vid)
             weights.append(w)
-            edges.append((ids[prev], vid))
-            adj[prev].append(cur)
-            adj.append([prev])
-            prev = cur
-    return PlumbingGraph._from_parts(ids, weights, index, edges, adj)
+            edges.append((prev_id, vid))
+            adj.append((prev, cur + 1))
+            prev, prev_id = cur, vid
+        if len(ids) > first:
+            center_adj.append(first)
+            adj[-1] = adj[-1][:1]  # the outer end of the arm is a leaf
+    adj[0] = tuple(center_adj)
+    index = dict(zip(ids, range(len(ids))))
+    return PlumbingGraph._from_parts(
+        tuple(ids), tuple(weights), index, tuple(edges), tuple(adj)
+    )
 
 
 def intersection_matrix(g: PlumbingGraph) -> SymmetricIntMatrix:
@@ -324,8 +335,7 @@ class InvariantReport:
 def report(g: PlumbingGraph) -> InvariantReport:
     """Compute the full invariant report in one pass over the form."""
     m = intersection_matrix(g)
-    det = determinant(m)
-    n_plus, n_zero, n_minus = inertia(m)
+    det, (n_plus, n_zero, n_minus) = _eliminate(m)
     wu = None
     wusq = None
     mb = None
@@ -370,6 +380,17 @@ def from_json_dict(data: dict) -> PlumbingGraph:
         edges = [(e[0], e[1]) for e in data["edges"]]
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError("malformed plumbing JSON: %s" % exc) from None
+    # JSON true/false would pass as ints and other ids would be coerced
+    # by str(), so both are refused here
+    for vid, w in vertices:
+        if type(vid) is not str:
+            raise ValueError("vertex id %r must be a string" % (vid,))
+        if type(w) is not int:
+            raise ValueError("weight of %r must be an integer, got %r" % (vid, w))
+    for edge in edges:
+        for vid in edge:
+            if type(vid) is not str:
+                raise ValueError("edge endpoint %r must be a string id" % (vid,))
     return PlumbingGraph(vertices, edges)
 
 

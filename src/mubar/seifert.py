@@ -43,12 +43,19 @@ class SeifertData:
             if gcd(a, b) != 1:
                 raise ValueError("pair (%d, %d) is not coprime" % (a, b))
 
+    def _euler_numerator(self) -> Tuple[int, int]:
+        """(e * A, A) with A the product of the cone orders a_i; e * A is an integer."""
+        prod = 1
+        for a, _ in self.cone_pairs:
+            prod *= a
+        total = self.e0 * prod
+        for a, b in self.cone_pairs:
+            total += b * (prod // a)
+        return total, prod
+
     @property
     def euler_number(self) -> Fraction:
-        e = Fraction(self.e0)
-        for a, b in self.cone_pairs:
-            e += Fraction(b, a)
-        return e
+        return Fraction(*self._euler_numerator())
 
 
 def brieskorn_seifert(p: int, q: int, r: int) -> SeifertData:
@@ -115,14 +122,7 @@ def canonical_plumbing(s: SeifertData) -> PlumbingGraph:
     -c_k from the continued fraction of a_i / b_i, -c_1 adjacent to
     the center.  Requires Euler number e < 0.
     """
-    # integer form of euler_number < 0, cheap for bulk sweeps
-    prod = 1
-    for a, _ in s.cone_pairs:
-        prod *= a
-    total = s.e0 * prod
-    for a, b in s.cone_pairs:
-        total += b * (prod // a)
-    if total >= 0:
+    if s._euler_numerator()[0] >= 0:
         raise ValueError(
             "canonical plumbing needs Euler number < 0, got %s" % s.euler_number
         )

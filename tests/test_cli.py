@@ -259,3 +259,49 @@ def test_no_arguments_shows_usage(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"components": [{"id": "a", "tag": "gray"}], "matrix": 5},
+        {"components": [{"id": "a", "tag": "gray"}], "matrix": [5]},
+        {"components": [{"id": "a", "tag": "gray"}], "matrix": [[True]]},
+        {"components": [{"id": "a", "tag": "gray"}], "matrix": [[1.0]]},
+        {"components": [{"id": 1, "tag": "gray"}], "matrix": [[1]]},
+        {"components": [{"id": {"x": 1}, "tag": "gray"}], "matrix": [[1]]},
+    ],
+)
+def test_kirby_reduce_rejects_bad_link_json(capsys, tmp_path, data):
+    code, out, err = run(capsys, "kirby", "reduce", _write(tmp_path, data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": [{"id": "a", "weight": True}], "edges": []},
+        {"vertices": [{"id": "a", "weight": False}], "edges": []},
+        {"vertices": [{"id": 1, "weight": -1}], "edges": []},
+        {"vertices": [{"id": ["a"], "weight": -1}], "edges": []},
+        {
+            "vertices": [{"id": "1", "weight": -1}, {"id": "2", "weight": -2}],
+            "edges": [[1, 2]],
+        },
+    ],
+)
+def test_plumbing_invariants_rejects_bool_weights_and_non_string_ids(
+    capsys, tmp_path, data
+):
+    code, out, err = run(capsys, "plumbing", "invariants", _write(tmp_path, data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -132,6 +132,59 @@ def test_inertia_consistency(rows):
     assert stacked == (n_plus, n_zero, n_minus + 1)
 
 
+@st.composite
+def low_rank_gram_rows(draw, max_dim=6, max_rank=3, bound=2):
+    """Sum of at most max_rank terms +-v v^T: singular whenever rank < dim."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    rows = [[0] * n for _ in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=min(max_rank, n)))):
+        v = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+        s = draw(st.sampled_from((1, -1)))
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] += s * v[i] * v[j]
+    return rows
+
+
+@st.composite
+def zero_diagonal_rows(draw, max_dim=5, bound=3):
+    """Symmetric, zero diagonal, sparse off the diagonal."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    vals = st.one_of(st.just(0), st.integers(min_value=-bound, max_value=bound))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(vals)
+    return rows
+
+
+@given(st.one_of(low_rank_gram_rows(), zero_diagonal_rows()))
+def test_zero_pivot_forms_match_oracles(rows):
+    m = SymmetricIntMatrix(rows)
+    assert determinant(m) == cofactor_determinant(rows)
+    assert inertia(m) == numpy_inertia(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, det, expected",
+    [
+        # zero diagonal from the start: e_0 -> e_0 + e_1 gives pivot 2
+        ([[0, 1, 0], [1, 0, 2], [0, 2, 0]], 0, (1, 1, 1)),
+        # zero active diagonal after the first pivot
+        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1, (2, 0, 1)),
+        # zero pivot with a nonzero diagonal entry further on: a swap
+        ([[0, 1, 0], [1, 0, 0], [0, 0, -3]], 3, (1, 0, 2)),
+        ([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 5], [0, 0, 5, 0]], 100, (2, 0, 2)),
+        # hyperbolic pair plus a radical line
+        ([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]], 0, (1, 2, 1)),
+    ],
+)
+def test_zero_pivot_examples(rows, det, expected):
+    m = SymmetricIntMatrix(rows)
+    assert determinant(m) == det == cofactor_determinant(rows)
+    assert inertia(m) == expected == numpy_inertia(rows)
+
+
 def test_solve_mod2_examples():
     m = SymmetricIntMatrix([[1]])
     assert solve_mod2(m, [1]) == [1]

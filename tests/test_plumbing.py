@@ -148,6 +148,26 @@ def test_report_full_values():
     )
 
 
+def test_report_runs_one_elimination(monkeypatch):
+    from mubar import lattice
+
+    calls = []
+
+    def counted(m):
+        calls.append(m.dim)
+        return lattice._eliminate(m)
+
+    def unexpected(m):
+        raise AssertionError("report must not run a second elimination")
+
+    monkeypatch.setattr(plumbing_mod, "_eliminate", counted)
+    monkeypatch.setattr(plumbing_mod, "determinant", unexpected)
+    monkeypatch.setattr(plumbing_mod, "inertia", unexpected)
+    rep = report(sigma_2_3_19())
+    assert calls == [6]
+    assert (rep.det, rep.inertia) == (1, (0, 0, 6))
+
+
 def test_report_on_even_determinant():
     rep = report(PlumbingGraph([("v", -2)]))
     assert rep.det == -2
