@@ -280,10 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main; parse_args leaves the parser unchanged,
+# so one parser serves every call in the process
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

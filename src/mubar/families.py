@@ -26,7 +26,7 @@ from .kirby import (
     reduce,
     surgery_search,
 )
-from .lattice import determinant, signature
+from .lattice import determinant, inertia, signature
 from .plumbing import PlumbingGraph, report, star
 from .seifert import brieskorn_seifert, canonical_plumbing, plumbings_isomorphic
 
@@ -171,8 +171,9 @@ class IterationVerification:
     those whose diagram passes every step check (gray part isomorphic
     to the n = 1+k member, determinant still 0, signature one lower,
     reduction to [[0]]) for all requested steps.  step_records documents
-    the first survivor.  no_candidate is the reported, non-fatal flag
-    for an empty survivor list.
+    the first survivor: at each step, the branch count and the values
+    the step checks computed on the first successor.  no_candidate is
+    the reported, non-fatal flag for an empty survivor list.
     """
 
     family: str
@@ -208,10 +209,13 @@ def _black_index(link: FramedLinkMatrix) -> int:
     )
 
 
-def _step_once(link: FramedLinkMatrix, want: PlumbingGraph):
-    """All one-step successors whose full profile matches the next member."""
+def _step_once(link: FramedLinkMatrix, want: PlumbingGraph, sig_before: int):
+    """All one-step successors whose full profile matches the next member.
+
+    sig_before is the signature of link.  Each successor comes with the
+    values its checks computed, under the names of the step record.
+    """
     b = _black_index(link)
-    sig_before = signature(link.matrix)
     out = []
     for t in range(link.dim):
         if link.components[t].tag != GRAY or link.linking(b, t) < 1:
@@ -228,14 +232,22 @@ def _step_once(link: FramedLinkMatrix, want: PlumbingGraph):
             continue
         if not iso:
             continue
-        if determinant(nxt.matrix) != 0:
-            continue
-        if signature(nxt.matrix) != sig_before - 1:
+        n_plus, n_zero, n_minus = inertia(nxt.matrix)
+        checks = {
+            "gray_isomorphic": iso,
+            # a radical makes det 0; only a nondegenerate form needs it computed
+            "det": 0 if n_zero else determinant(nxt.matrix),
+            "signature": n_plus - n_minus,
+        }
+        if checks["det"] != 0 or checks["signature"] != sig_before - 1:
             continue
         terminal = reduce(nxt)
-        if terminal.dim != 1 or terminal.framing(0) != 0:
+        checks["reduces_to_zero_framed"] = (
+            terminal.dim == 1 and terminal.framing(0) == 0
+        )
+        if not checks["reduces_to_zero_framed"]:
             continue
-        out.append(nxt)
+        out.append((nxt, checks))
     return out
 
 
@@ -267,12 +279,13 @@ def verify_iteration(
     survivors: List[Tuple[int, ...]] = []
     first_records: Tuple[dict, ...] = ()
     for hit in hits:
-        states = [base.augmented(hit.vector, -1)]
+        start = base.augmented(hit.vector, -1)
+        states = [(start, signature(start.matrix))]
         records: List[dict] = []
         for k in range(1, steps + 1):
             nxt = []
-            for state in states:
-                nxt.extend(_step_once(state, targets[k - 1]))
+            for state, sig in states:
+                nxt.extend(_step_once(state, targets[k - 1], sig))
             if not nxt:
                 records = []
                 break
@@ -281,14 +294,11 @@ def verify_iteration(
                     "step": k,
                     "n": 1 + k,
                     "gray_vertices": 5 + 1 + k,
-                    "gray_isomorphic": True,
-                    "det": 0,
-                    "signature": signature(nxt[0].matrix),
-                    "reduces_to_zero_framed": True,
+                    **nxt[0][1],
                     "branches": len(nxt),
                 }
             )
-            states = nxt
+            states = [(state, checks["signature"]) for state, checks in nxt]
         if records:
             survivors.append(hit.vector)
             if not first_records:

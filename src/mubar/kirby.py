@@ -14,6 +14,13 @@ eps * m[i][j]^2 from the framing).  Blowing up along an integer vector
 v with sign s appends a component framed -s linking v and twists the
 rest by m[i][k] -= s * v[i] * v[k]; the result is congruent to the
 block sum with <-s>, and the two moves are mutually inverse.
+
+FramedLinkMatrix(...) and from_json_dict validate their input.  The
+moves, augmented and family_step build their results from a diagram
+that is already valid, through FramedLinkMatrix._trusted, and check only
+what they add: a new component id must be free, a border must be
+integers of the right length.  Blow-downs act on row tuples, and rows
+that do not link the blown-down component are copied unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .lattice import SymmetricIntMatrix, determinant, smith_invariant_factors
 from .plumbing import PlumbingGraph, intersection_matrix
+
+Rows = Tuple[Tuple[int, ...], ...]
 
 GRAY = "gray"
 BLACK = "black"
@@ -82,6 +91,19 @@ class FramedLinkMatrix:
         self._components = comps
         self._matrix = matrix
 
+    @classmethod
+    def _trusted(
+        cls, components: Tuple[Component, ...], matrix: SymmetricIntMatrix
+    ) -> "FramedLinkMatrix":
+        """Wrap components and a matrix of matching size with unique ids.
+
+        Nothing is checked: callers derive both from a valid diagram.
+        """
+        link = cls.__new__(cls)
+        link._components = components
+        link._matrix = matrix
+        return link
+
     @property
     def components(self) -> Tuple[Component, ...]:
         return self._components
@@ -132,16 +154,22 @@ class FramedLinkMatrix:
         This is plain matrix bordering (no twist); it models drawing a
         new curve into the diagram, not a Kirby move.
         """
-        comps = list(self._components)
-        comps.append(Component(new_id or self._fresh_id(), tag))
-        return FramedLinkMatrix(comps, self._matrix.bordered(links, framing))
+        return FramedLinkMatrix._trusted(
+            self._components + (self._new_component(new_id, tag),),
+            self._matrix.bordered(links, framing),
+        )
 
-    def _fresh_id(self) -> str:
+    def _new_component(self, new_id: Optional[str], tag: str) -> Component:
+        """The component a move adds: new_id, which must be free, or a fresh id."""
         used = {c.id for c in self._components}
+        if new_id:
+            if new_id in used:
+                raise ValueError("component ids must be unique")
+            return Component(new_id, tag)
         k = len(used)
         while "k%d" % k in used:
             k += 1
-        return "k%d" % k
+        return Component("k%d" % k, tag)
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,6 +211,25 @@ class FramedLinkMatrix:
         )
 
 
+def _blow_down_rows(rows: Rows, j: int) -> Rows:
+    """The rows after blowing down component j, whose framing is +-1.
+
+    m[i][k] -= eps * m[i][j] * m[j][k]; a row with m[i][j] = 0 keeps
+    its entries and only loses column j.
+    """
+    eps = rows[j][j]
+    pivot = rows[j]
+    out = []
+    for i, row in enumerate(rows):
+        if i == j:
+            continue
+        c = eps * row[j]
+        if c:
+            row = tuple(x - c * y for x, y in zip(row, pivot))
+        out.append(row[:j] + row[j + 1 :])
+    return tuple(out)
+
+
 def blow_down(link: FramedLinkMatrix, j: Union[int, str]) -> FramedLinkMatrix:
     """Delete a +-1-framed component, twisting everything it links."""
     j = link.index_of(j)
@@ -192,12 +239,11 @@ def blow_down(link: FramedLinkMatrix, j: Union[int, str]) -> FramedLinkMatrix:
             "component %r has framing %d, need +1 or -1"
             % (link.components[j].id, eps)
         )
-    m = link.matrix
-    keep = [i for i in range(link.dim) if i != j]
-    rows = [
-        [m[i, k] - eps * m[i, j] * m[j, k] for k in keep] for i in keep
-    ]
-    return FramedLinkMatrix([link.components[i] for i in keep], rows)
+    comps = link.components
+    return FramedLinkMatrix._trusted(
+        comps[:j] + comps[j + 1 :],
+        SymmetricIntMatrix._trusted(_blow_down_rows(link.matrix.rows, j)),
+    )
 
 
 def blow_up(
@@ -216,17 +262,16 @@ def blow_up(
         raise ValueError("sign must be +1 or -1")
     if len(links) != link.dim:
         raise ValueError("linking vector length must equal dim")
-    v = [int(x) for x in links]
-    m = link.matrix
-    n = link.dim
-    rows = [
-        [m[i, k] - sign * v[i] * v[k] for k in range(n)] + [v[i]]
-        for i in range(n)
-    ]
-    rows.append(v + [-sign])
-    comps = list(link.components)
-    comps.append(Component(new_id or link._fresh_id(), tag))
-    return FramedLinkMatrix(comps, rows)
+    v = tuple(int(x) for x in links)
+    new = link._new_component(new_id, tag)
+    rows = tuple(
+        (tuple(x - sign * vi * vk for x, vk in zip(row, v)) if vi else row)
+        + (vi,)
+        for row, vi in zip(link.matrix.rows, v)
+    ) + (v + (-sign,),)
+    return FramedLinkMatrix._trusted(
+        link.components + (new,), SymmetricIntMatrix._trusted(rows)
+    )
 
 
 def unlink_blowup(
@@ -270,27 +315,32 @@ def reduce_with_trace(
     every step deletes a component.
     """
     cap = 10 * link.dim if max_steps is None else max_steps
-    cur = link
+    comps, rows = link.components, link.matrix.rows
     steps: List[dict] = []
     while True:
         j = next(
-            (i for i in range(cur.dim) if cur.framing(i) in (1, -1)), None
+            (i for i, row in enumerate(rows) if row[i] in (1, -1)), None
         )
         if j is None:
-            return cur, steps
+            break
         if len(steps) >= cap:
             raise IterationCap(
                 "reduction did not terminate within %d steps" % cap
             )
-        cid = cur.components[j].id
-        cur = blow_down(cur, j)
+        cid = comps[j].id
+        rows = _blow_down_rows(rows, j)
+        comps = comps[:j] + comps[j + 1 :]
         steps.append(
             {
                 "move": "blow_down",
                 "component": cid,
-                "matrix_after": cur.matrix.to_lists(),
+                "matrix_after": [list(row) for row in rows],
             }
         )
+    return (
+        FramedLinkMatrix._trusted(comps, SymmetricIntMatrix._trusted(rows)),
+        steps,
+    )
 
 
 def reduce(
@@ -351,6 +401,10 @@ def surgery_search(
         raise ValueError("max_support must be >= 1")
     base = FramedLinkMatrix.from_plumbing(g)
     n = base.dim
+    # every candidate diagram is base bordered by a box vector and framed
+    # -1; the box holds only integers, so the border skips bordered's check
+    comps = base.components + (base._new_component(None, BLACK),)
+    base_rows = base.matrix.rows
     nonzero = [v for v in range(-max_link, max_link + 1) if v]
     hits: List[SearchHit] = []
     for size in range(0, min(max_support, n) + 1):
@@ -359,17 +413,23 @@ def surgery_search(
                 vec = [0] * n
                 for pos, val in zip(positions, values):
                     vec[pos] = val
-                aug = base.augmented(vec, -1)
-                if determinant(aug.matrix) != 0:
+                vec = tuple(vec)
+                aug = SymmetricIntMatrix._trusted(
+                    tuple(row + (x,) for row, x in zip(base_rows, vec))
+                    + (vec + (-1,),)
+                )
+                if determinant(aug) != 0:
                     continue
-                factors = smith_invariant_factors(aug.matrix)
+                factors = smith_invariant_factors(aug)
                 if factors.count(0) != 1 or any(
                     f != 1 for f in factors if f
                 ):
                     continue
-                terminal, trace = reduce_with_trace(aug)
+                terminal, trace = reduce_with_trace(
+                    FramedLinkMatrix._trusted(comps, aug)
+                )
                 if terminal.dim == 1 and terminal.framing(0) == 0:
-                    hits.append(SearchHit(tuple(vec), trace))
+                    hits.append(SearchHit(vec, trace))
     hits.sort(key=lambda h: h.vector)
     return hits
 
@@ -421,6 +481,8 @@ def family_step(
         if link.components[t].tag != GRAY:
             raise ValueError("target %r is not gray" % (link.components[t].id,))
     out = unlink_blowup(link, b, t, tag=BLACK)
-    comps = list(out.components)
-    comps[b] = Component(comps[b].id, GRAY)
-    return FramedLinkMatrix(comps, out.matrix)
+    comps = out.components
+    return FramedLinkMatrix._trusted(
+        comps[:b] + (Component(comps[b].id, GRAY),) + comps[b + 1 :],
+        out.matrix,
+    )

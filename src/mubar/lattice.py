@@ -10,6 +10,12 @@ overflows.
 
 The 0x0 matrix is a legal value: its determinant is 1 (empty product)
 and its inertia is (0, 0, 0).
+
+Input is checked once, at the public boundary: SymmetricIntMatrix(rows)
+checks that the rows are square, integer and symmetric.  A matrix the
+library derives from checked parts (a block sum, a bordering, a deleted
+index, a blow-down in kirby) is wrapped with SymmetricIntMatrix._trusted,
+which skips those checks.
 """
 
 from __future__ import annotations
@@ -19,7 +25,11 @@ from typing import Iterable, List, Sequence, Tuple
 
 
 class SymmetricIntMatrix:
-    """Immutable symmetric matrix with integer entries."""
+    """Immutable symmetric matrix with integer entries.
+
+    The constructor validates its rows; derived matrices come from
+    _trusted and are not validated again.
+    """
 
     __slots__ = ("_rows",)
 
@@ -39,6 +49,17 @@ class SymmetricIntMatrix:
                         "matrix is not symmetric at (%d, %d)" % (i, j)
                     )
         self._rows = rows
+
+    @classmethod
+    def _trusted(cls, rows: Tuple[Tuple[int, ...], ...]) -> "SymmetricIntMatrix":
+        """Wrap a tuple of row tuples known to be square, integer and symmetric.
+
+        Nothing is checked or copied: callers build rows from matrices
+        that are already valid.
+        """
+        m = cls.__new__(cls)
+        m._rows = rows
+        return m
 
     @property
     def dim(self) -> int:
@@ -60,24 +81,30 @@ class SymmetricIntMatrix:
 
     def block_sum(self, other: "SymmetricIntMatrix") -> "SymmetricIntMatrix":
         """Block-diagonal sum self (+) other."""
-        n, m = self.dim, other.dim
-        rows = [list(row) + [0] * m for row in self._rows]
-        rows += [[0] * n + list(row) for row in other._rows]
-        return SymmetricIntMatrix(rows)
+        left, right = (0,) * self.dim, (0,) * other.dim
+        return SymmetricIntMatrix._trusted(
+            tuple(row + right for row in self._rows)
+            + tuple(left + row for row in other._rows)
+        )
 
     def bordered(self, border: Sequence[int], corner: int) -> "SymmetricIntMatrix":
         """Append one row and column: border entries off-diagonal, corner last."""
+        border = tuple(border)
         if len(border) != self.dim:
             raise ValueError("border length must equal dim")
-        rows = [list(row) + [b] for row, b in zip(self._rows, border)]
-        rows.append(list(border) + [corner])
-        return SymmetricIntMatrix(rows)
+        last = border + (corner,)
+        for x in last:
+            if not isinstance(x, int):
+                raise ValueError("entries must be integers, got %r" % (x,))
+        return SymmetricIntMatrix._trusted(
+            tuple(row + (b,) for row, b in zip(self._rows, border)) + (last,)
+        )
 
     def without_index(self, j: int) -> "SymmetricIntMatrix":
         """Delete row and column j."""
         keep = [i for i in range(self.dim) if i != j]
-        return SymmetricIntMatrix(
-            [[self._rows[i][k] for k in keep] for i in keep]
+        return SymmetricIntMatrix._trusted(
+            tuple(tuple(self._rows[i][k] for k in keep) for i in keep)
         )
 
     def __eq__(self, other: object) -> bool:

@@ -30,20 +30,32 @@ def cofactor_determinant(rows):
     return total
 
 
-def naive_unit_reduction(rows):
-    """Greedy lowest-index blow-down of +-1 diagonal entries on lists."""
+def naive_unit_reduction_with_trace(rows):
+    """Greedy lowest-index blow-down of +-1 diagonal entries on lists.
+
+    Returns the terminal rows and, per blow-down, the input index of the
+    deleted component with the rows after the move.
+    """
     rows = [list(r) for r in rows]
+    labels = list(range(len(rows)))
+    trace = []
     while True:
         n = len(rows)
         j = next((i for i in range(n) if rows[i][i] in (1, -1)), None)
         if j is None:
-            return rows
+            return rows, trace
         eps = rows[j][j]
         keep = [i for i in range(n) if i != j]
         rows = [
             [rows[i][k] - eps * rows[i][j] * rows[j][k] for k in keep]
             for i in keep
         ]
+        trace.append((labels.pop(j), [list(r) for r in rows]))
+
+
+def naive_unit_reduction(rows):
+    """Terminal rows of naive_unit_reduction_with_trace."""
+    return naive_unit_reduction_with_trace(rows)[0]
 
 
 def sympy_invariant_factors(rows):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from mubar import FramedLinkMatrix, star
+import mubar
+from mubar import FramedLinkMatrix, cli, star
 from mubar.cli import main
 from mubar.plumbing import to_json_dict
 
@@ -305,3 +310,24 @@ def test_plumbing_invariants_rejects_bool_weights_and_non_string_ids(
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, plumbing_file, link_file):
+    """A bad call, then two valid subcommands, in one process print what
+    separate processes print."""
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    calls = [
+        ["kirby", "search", plumbing_file, "--max-link", "2"],
+        ["kirby", "reduce", link_file, "--trace", "--json"],
+        ["brieskorn", "2", "3", "7"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    env = dict(os.environ, PYTHONPATH=str(Path(mubar.__file__).parents[1]))
+    for argv, got in zip(calls, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mubar", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == got

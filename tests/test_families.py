@@ -6,16 +6,22 @@ import pytest
 
 from mubar import (
     FamilyId,
+    FramedLinkMatrix,
     brieskorn_params,
     brieskorn_seifert,
     canonical_plumbing,
+    determinant,
     family_plumbing,
+    gray_plumbing,
     is_homology_sphere,
     plumbings_isomorphic,
+    reduce,
     report,
+    signature,
     verify_family,
     verify_iteration,
 )
+from mubar.families import _step_once
 
 
 def test_family_id_validation():
@@ -155,6 +161,26 @@ def test_verify_iteration_two_steps():
     assert first["reduces_to_zero_framed"] is True
     assert it.step_records[1]["n"] == 3
     assert it.step_records[1]["signature"] == -8
+
+
+@pytest.mark.parametrize("tag", ["A", "B"])
+def test_step_records_hold_what_the_checks_computed(tag):
+    """Every successor's record fields equal independent computations on it."""
+    base = FramedLinkMatrix.from_plumbing(family_plumbing(FamilyId(tag, 1)))
+    start = base.augmented([0, 0, 0, 1, 0, -1], -1)
+    want = family_plumbing(FamilyId(tag, 2))
+    sig = signature(start.matrix)
+    successors = _step_once(start, want, sig)
+    assert successors
+    for state, checks in successors:
+        assert checks == {
+            "gray_isomorphic": plumbings_isomorphic(gray_plumbing(state), want),
+            "det": determinant(state.matrix),
+            "signature": signature(state.matrix),
+            "reduces_to_zero_framed": reduce(state).matrix.to_lists() == [[0]],
+        }
+    # the signature passed in is the one each successor is held to
+    assert _step_once(start, want, sig + 1) == []
 
 
 def test_verify_iteration_family_b():

@@ -28,7 +28,8 @@ from mubar import (
     unlink_blowup,
 )
 from mubar.kirby import BLACK, GRAY
-from oracles import brute_force_search_vectors
+from mubar.lattice import SymmetricIntMatrix
+from oracles import brute_force_search_vectors, naive_unit_reduction_with_trace
 
 
 def link_from_rows(rows, tag=GRAY):
@@ -47,6 +48,13 @@ def test_component_and_link_validation():
         FramedLinkMatrix([("a", GRAY), ("a", GRAY)], [[-1, 0], [0, -1]])
     with pytest.raises(ValueError):
         FramedLinkMatrix([("a", GRAY)], [[-1, 0], [0, -1]])
+    # the public constructor still checks the rows it is given
+    with pytest.raises(ValueError):
+        FramedLinkMatrix([("a", GRAY), ("b", GRAY)], [[-1, 1], [0, -1]])
+    with pytest.raises(ValueError):
+        FramedLinkMatrix([("a", GRAY), ("b", GRAY)], [[-1, 1.0], [1.0, -1]])
+    with pytest.raises(ValueError):
+        FramedLinkMatrix([("a", GRAY)], [["-1"]])
     empty = FramedLinkMatrix([], [])
     assert empty.matrix.dim == 0
 
@@ -116,6 +124,24 @@ def test_blow_up_fresh_id_and_tag():
         blow_up(L, [0, 0, 0, 0], 1, new_id="c")
 
 
+def test_augmented_checks_what_it_adds():
+    L = sigma_2_3_7_link()
+    with pytest.raises(ValueError):
+        L.augmented([0, 0, 0, 0], -1, new_id="a1_1")
+    with pytest.raises(ValueError):
+        L.augmented([0, 0, 0], -1)
+    with pytest.raises(ValueError):
+        L.augmented([0, 0, 0, 0.5], -1)
+    with pytest.raises(ValueError):
+        L.augmented([0, 0, 0, 0], "-1")
+    out = L.augmented([1, 0, 0, 1], -1, new_id="w")
+    assert out.ids == L.ids + ("w",)
+    assert out.matrix == SymmetricIntMatrix(
+        [[-1, 1, 1, 1, 1], [1, -2, 0, 0, 0], [1, 0, -3, 0, 0],
+         [1, 0, 0, -7, 1], [1, 0, 0, 1, -1]]
+    )
+
+
 small_rows = st.integers(-3, 3)
 
 
@@ -183,6 +209,34 @@ def test_reduce_trace_records_moves():
     assert trace[1]["matrix_after"] == []
 
 
+@st.composite
+def unit_rich_rows(draw, max_dim=7):
+    """Symmetric rows whose framings are mostly +-1, so reductions run long."""
+    n = draw(st.integers(0, max_dim))
+    framings = st.one_of(st.sampled_from([1, -1]), st.integers(-3, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(framings)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-2, 2))
+    return rows
+
+
+@settings(max_examples=300)
+@given(unit_rich_rows())
+def test_reduce_with_trace_matches_list_oracle(rows):
+    terminal, trace = reduce_with_trace(link_from_rows(rows))
+    want_rows, want_trace = naive_unit_reduction_with_trace(rows)
+    assert terminal.matrix.to_lists() == want_rows
+    assert [
+        (t["move"], t["component"], t["matrix_after"]) for t in trace
+    ] == [("blow_down", "v%d" % j, after) for j, after in want_trace]
+    deleted = {t["component"] for t in trace}
+    assert terminal.ids == tuple(
+        "v%d" % i for i in range(len(rows)) if "v%d" % i not in deleted
+    )
+
+
 def test_reduce_full_diagonalization():
     red, trace = reduce_with_trace(sigma_2_3_7_link())
     assert red.matrix.dim == 0
@@ -247,6 +301,33 @@ def test_surgery_search_matches_brute_force(graph):
         hits = surgery_search(graph, max_link=max_link, max_support=n)
         expect = brute_force_search_vectors(rows, max_link)
         assert [h.vector for h in hits] == expect
+
+
+def test_surgery_search_validates_once_and_tests_every_vector(monkeypatch):
+    """One determinant per box vector; only the input plumbing is validated."""
+    import mubar.kirby as kirby_module
+
+    inits = []
+    dets = []
+    real_init = SymmetricIntMatrix.__init__
+    real_det = kirby_module.determinant
+
+    def counting_init(self, rows):
+        inits.append(1)
+        real_init(self, rows)
+
+    def counting_det(m):
+        dets.append(m.dim)
+        return real_det(m)
+
+    monkeypatch.setattr(SymmetricIntMatrix, "__init__", counting_init)
+    monkeypatch.setattr(kirby_module, "determinant", counting_det)
+    hits = surgery_search(family_plumbing(FamilyId("A", 1)), 2, 3)
+    # 1 + 6*4 + 15*16 + 20*64 vectors in the (2, 3) box on 6 vertices
+    assert len(dets) == 1 + 24 + 240 + 1280
+    assert set(dets) == {7}
+    assert len(inits) == 1
+    assert (0, 0, 0, 1, 0, -1) in [h.vector for h in hits]
 
 
 def test_surgery_search_support_limit():

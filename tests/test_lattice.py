@@ -67,6 +67,26 @@ def test_matrix_validation():
     assert m.diagonal() == (2, 2)
 
 
+def test_border_checks_what_it_adds():
+    a = SymmetricIntMatrix([[2, 1], [1, 2]])
+    with pytest.raises(ValueError):
+        a.bordered([1], 0)
+    with pytest.raises(ValueError):
+        a.bordered([1, 2, 3], 0)
+    with pytest.raises(ValueError):
+        a.bordered([1, 1.0], 0)
+    with pytest.raises(ValueError):
+        a.bordered([1, "1"], 0)
+    with pytest.raises(ValueError):
+        a.bordered([1, 1], Fraction(1))
+    with pytest.raises(ValueError):
+        a.bordered([1, 1], None)
+    # a bordered matrix equals the same rows through the checked constructor
+    assert a.bordered((0, -3), 5) == SymmetricIntMatrix(
+        [[2, 1, 0], [1, 2, -3], [0, -3, 5]]
+    )
+
+
 def test_matrix_block_sum_and_border():
     a = SymmetricIntMatrix([[2]])
     b = SymmetricIntMatrix([[-1]])
