@@ -15,6 +15,11 @@ v with sign s appends a component framed -s linking v and twists the
 rest by m[i][k] -= s * v[i] * v[k]; the result is congruent to the
 block sum with <-s>, and the two moves are mutually inverse.
 
+A surgery-search hit is a -1-framed curve whose diagram greedy
+blow-downs take to [[0]].  Each blow-down is an integral congruence
+M = M' (+) <+-1>, so a hit has determinant 0 and cokernel Z, the
+homology of S^1 x S^2, with no Smith form computed.
+
 FramedLinkMatrix(...) and from_json_dict validate their input.  The
 moves, augmented and family_step build their results from a diagram
 that is already valid, through FramedLinkMatrix._trusted, and check only
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .lattice import SymmetricIntMatrix, determinant, smith_invariant_factors
+from .lattice import SymmetricIntMatrix, determinant
 from .plumbing import PlumbingGraph, intersection_matrix
 
 Rows = Tuple[Tuple[int, ...], ...]
@@ -262,7 +267,9 @@ def blow_up(
         raise ValueError("sign must be +1 or -1")
     if len(links) != link.dim:
         raise ValueError("linking vector length must equal dim")
-    v = tuple(int(x) for x in links)
+    v = tuple(links)
+    if not all(isinstance(x, int) for x in v):
+        raise ValueError("links must be integers, got %r" % (v,))
     new = link._new_component(new_id, tag)
     rows = tuple(
         (tuple(x - sign * vi * vk for x, vk in zip(row, v)) if vi else row)
@@ -390,10 +397,11 @@ def surgery_search(
 
     Enumerates integer linking vectors with entries in
     [-max_link, max_link] and at most max_support nonzero entries, and
-    keeps those whose augmented matrix has determinant 0, cokernel Z
-    (Smith factors 1, ..., 1, 0) and whose greedy reduction terminates
-    at the single 0-framed component.  Candidates are homology-level
-    only; hits are returned in lexicographic vector order.
+    keeps those whose greedy reduction ends at [[0]]; the blow-downs
+    are integral congruences, so a hit has determinant 0 and cokernel
+    Z.  One determinant per vector rejects the rest before reducing.
+    Candidates are homology-level only; hits are returned in
+    lexicographic vector order.
     """
     if max_link < 1:
         raise ValueError("max_link must be >= 1")
@@ -419,11 +427,6 @@ def surgery_search(
                     + (vec + (-1,),)
                 )
                 if determinant(aug) != 0:
-                    continue
-                factors = smith_invariant_factors(aug)
-                if factors.count(0) != 1 or any(
-                    f != 1 for f in factors if f
-                ):
                     continue
                 terminal, trace = reduce_with_trace(
                     FramedLinkMatrix._trusted(comps, aug)

@@ -12,6 +12,10 @@ signature(M) - wu_square; some authors use the opposite sign, which
 flips nothing mod 16 here because all values of interest are 0 or 8.
 rokhlin is (mu_bar / 8) mod 2 and is only defined for homology-sphere
 plumbings with 8 | mu_bar.
+
+report computes every invariant from one matrix, one elimination and
+one Wu solve (_wu); mu_bar and rokhlin read it.  wu_class and wu_square
+call _wu alone, and is_homology_sphere calls determinant alone.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .lattice import (
     SymmetricIntMatrix,
     _eliminate,
     determinant,
-    inertia,
     solve_mod2,
 )
 
@@ -240,41 +243,51 @@ def is_homology_sphere(g: PlumbingGraph) -> bool:
     return abs(determinant(intersection_matrix(g))) == 1
 
 
+def _wu(m: SymmetricIntMatrix):
+    """The {0,1} Wu lift of m and its square w^T M w, or the Mod2Failure.
+
+    The lift solves M w = diag(M) mod 2; the solve fails exactly when
+    det M is even.
+    """
+    w = solve_mod2(m, m.diagonal())
+    if isinstance(w, Mod2Failure):
+        return w
+    rows = m.rows
+    on = [i for i, wi in enumerate(w) if wi]
+    return tuple(w), sum(rows[i][j] for i in on for j in on)
+
+
+def _defined_wu(g: PlumbingGraph):
+    """_wu of the intersection matrix; WuUndefined when det is even."""
+    wu = _wu(intersection_matrix(g))
+    if isinstance(wu, Mod2Failure):
+        raise WuUndefined(
+            "Wu class undefined: mod-2 intersection form is singular (%s)"
+            % wu.value
+        )
+    return wu
+
+
 def wu_class(g: PlumbingGraph) -> Tuple[int, ...]:
     """The {0,1} lift of the Wu class: M w = diag(M) mod 2.
 
     Raises WuUndefined when the mod-2 system is singular (even
     determinant), in which case no unique Wu class exists.
     """
-    m = intersection_matrix(g)
-    w = solve_mod2(m, list(m.diagonal()))
-    if isinstance(w, Mod2Failure):
-        raise WuUndefined(
-            "Wu class undefined: mod-2 intersection form is singular (%s)"
-            % w.value
-        )
-    return tuple(w)
+    return _defined_wu(g)[0]
 
 
 def wu_square(g: PlumbingGraph) -> int:
     """Integer self-intersection w^T M w of the {0,1} Wu lift."""
-    w = wu_class(g)
-    m = intersection_matrix(g)
-    total = 0
-    for i, wi in enumerate(w):
-        if wi:
-            row = m.rows[i]
-            for j, wj in enumerate(w):
-                if wj:
-                    total += row[j]
-    return total
+    return _defined_wu(g)[1]
 
 
 def mu_bar(g: PlumbingGraph) -> int:
     """signature(M) - wu_square(G); see the module docstring on sign."""
-    m = intersection_matrix(g)
-    n_plus, _, n_minus = inertia(m)
-    return (n_plus - n_minus) - wu_square(g)
+    rep = report(g)
+    if rep.mu_bar is None:
+        raise WuUndefined("Wu class undefined: determinant %d is even" % rep.det)
+    return rep.mu_bar
 
 
 def rokhlin(g: PlumbingGraph) -> int:
@@ -284,12 +297,12 @@ def rokhlin(g: PlumbingGraph) -> int:
     8 does not divide mu_bar (either signals an input or convention
     problem, not a value of the invariant).
     """
-    if not is_homology_sphere(g):
+    rep = report(g)
+    if abs(rep.det) != 1:
         raise ValueError("Rokhlin invariant needs |det| = 1")
-    mb = mu_bar(g)
-    if mb % 8:
-        raise MuBarNotDivisible("mu_bar = %d is not divisible by 8" % mb)
-    return (mb // 8) % 2
+    if rep.rokhlin is None:
+        raise MuBarNotDivisible("mu_bar = %d is not divisible by 8" % rep.mu_bar)
+    return rep.rokhlin
 
 
 @dataclass(frozen=True)
@@ -333,34 +346,17 @@ class InvariantReport:
 
 
 def report(g: PlumbingGraph) -> InvariantReport:
-    """Compute the full invariant report in one pass over the form."""
+    """Every invariant from one matrix, one elimination and one Wu solve."""
     m = intersection_matrix(g)
     det, (n_plus, n_zero, n_minus) = _eliminate(m)
-    wu = None
-    wusq = None
-    mb = None
-    rk = None
-    sol = solve_mod2(m, list(m.diagonal()))
-    if not isinstance(sol, Mod2Failure):
-        wu = tuple(sol)
-        wusq = 0
-        for i, wi in enumerate(wu):
-            if wi:
-                row = m.rows[i]
-                for j, wj in enumerate(wu):
-                    if wj:
-                        wusq += row[j]
-        mb = (n_plus - n_minus) - wusq
+    wu = _wu(m)
+    lift = square = mb = rk = None
+    if not isinstance(wu, Mod2Failure):
+        lift, square = wu
+        mb = (n_plus - n_minus) - square
         if abs(det) == 1 and mb % 8 == 0:
             rk = (mb // 8) % 2
-    return InvariantReport(
-        det=det,
-        inertia=(n_plus, n_zero, n_minus),
-        wu=wu,
-        wu_square=wusq,
-        mu_bar=mb,
-        rokhlin=rk,
-    )
+    return InvariantReport(det, (n_plus, n_zero, n_minus), lift, square, mb, rk)
 
 
 def to_json_dict(g: PlumbingGraph) -> dict:

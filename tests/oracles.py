@@ -3,12 +3,25 @@
 These deliberately avoid the code paths they validate: determinants by
 recursive cofactor expansion, Smith forms via sympy, inertia via numpy
 eigenvalues, and a from-scratch restatement of the blow-down twist for
-the exhaustive search oracle.
+the exhaustive search oracle.  The Rokhlin invariant of a Brieskorn
+sphere comes from the benchmark's reference, Brieskorn's Milnor-fiber
+signature, which never imports mubar.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from itertools import product
+from pathlib import Path
+
+
+def bench_reference():
+    """bench/reference.py, loaded by path (bench is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cofactor_determinant(rows):

@@ -55,6 +55,12 @@ def test_component_and_link_validation():
         FramedLinkMatrix([("a", GRAY), ("b", GRAY)], [[-1, 1.0], [1.0, -1]])
     with pytest.raises(ValueError):
         FramedLinkMatrix([("a", GRAY)], [["-1"]])
+    # a blow-up refuses what bordered refuses, instead of truncating it
+    single = FramedLinkMatrix([("a", GRAY)], [[-2]])
+    with pytest.raises(ValueError):
+        blow_up(single, [0.7], 1)
+    with pytest.raises(ValueError):
+        blow_up(single, ["1"], 1)
     empty = FramedLinkMatrix([], [])
     assert empty.matrix.dim == 0
 

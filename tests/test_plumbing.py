@@ -158,14 +158,21 @@ def test_report_runs_one_elimination(monkeypatch):
         return lattice._eliminate(m)
 
     def unexpected(m):
-        raise AssertionError("report must not run a second elimination")
+        raise AssertionError("no second elimination may run")
 
     monkeypatch.setattr(plumbing_mod, "_eliminate", counted)
     monkeypatch.setattr(plumbing_mod, "determinant", unexpected)
-    monkeypatch.setattr(plumbing_mod, "inertia", unexpected)
     rep = report(sigma_2_3_19())
     assert calls == [6]
     assert (rep.det, rep.inertia) == (1, (0, 0, 6))
+    # mu_bar and rokhlin read report; the Wu class needs no elimination
+    assert mu_bar(sigma_2_3_19()) == 8
+    assert calls == [6, 6]
+    assert rokhlin(sigma_2_3_19()) == 1
+    assert calls == [6, 6, 6]
+    assert wu_class(sigma_2_3_19()) == rep.wu
+    assert wu_square(sigma_2_3_19()) == rep.wu_square
+    assert calls == [6, 6, 6]
 
 
 def test_report_on_even_determinant():

@@ -18,8 +18,10 @@ from mubar import (
     plumbing_to_seifert,
     plumbings_isomorphic,
     report,
+    rokhlin,
     star,
 )
+from oracles import bench_reference
 
 
 def test_seifert_data_validation():
@@ -227,3 +229,24 @@ def test_plumbings_isomorphic_rejects_non_tree():
 def test_family_matrix_matches_canonical_sigma_2_5_17():
     g = star(-1, [[-2], [-4, -2, -3], [-5]])
     assert plumbings_isomorphic(g, canonical_plumbing(brieskorn_seifert(2, 5, 17)))
+
+
+def test_rokhlin_matches_milnor_fiber_signature():
+    """rokhlin of every Sigma(p, q, r) with r < 40 against Brieskorn's
+    sigma(F) / 8 mod 2, a formula that shares no code with plumbings."""
+    brieskorn_rokhlin = bench_reference().brieskorn_rokhlin
+    triples = [
+        (p, q, r)
+        for p in range(2, 40)
+        for q in range(p + 1, 40)
+        for r in range(q + 1, 40)
+        if math.gcd(p, q) == math.gcd(p, r) == math.gcd(q, r) == 1
+    ]
+    assert len(triples) == 2431
+    for p, q, r in triples:
+        g = canonical_plumbing(brieskorn_seifert(p, q, r))
+        assert rokhlin(g) == brieskorn_rokhlin(p, q, r), (p, q, r)
+        rep = report(g)
+        # van der Blij: a unimodular form has mu_bar = 0 mod 8
+        if abs(rep.det) == 1:
+            assert rep.mu_bar % 8 == 0, (p, q, r)
