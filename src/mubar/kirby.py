@@ -365,19 +365,21 @@ def gray_plumbing(link: FramedLinkMatrix) -> PlumbingGraph:
     is dropped).  Raises ValueError when the gray part is not a
     connected plumbing pattern.
     """
-    idx = [i for i, c in enumerate(link.components) if c.tag == GRAY]
-    vertices = [(link.components[i].id, link.framing(i)) for i in idx]
+    comps = link.components
+    rows = link.matrix.rows
+    idx = [i for i, c in enumerate(comps) if c.tag == GRAY]
+    vertices = [(comps[i].id, rows[i][i]) for i in idx]
     edges = []
     for a, b in combinations(idx, 2):
-        l = link.linking(a, b)
+        l = rows[a][b]
         if l == 0:
             continue
         if abs(l) != 1:
             raise ValueError(
                 "gray linking %d between %r and %r is not a plumbing edge"
-                % (l, link.components[a].id, link.components[b].id)
+                % (l, comps[a].id, comps[b].id)
             )
-        edges.append((link.components[a].id, link.components[b].id))
+        edges.append((comps[a].id, comps[b].id))
     return PlumbingGraph(vertices, edges)
 
 

@@ -2,11 +2,15 @@
 
 Everything here is exact.  Determinant and inertia come from one
 fraction-free (Bareiss) symmetric elimination on the upper triangle,
-whose zero pivots are met by integral congruences; mod-2 systems are
-solved by Gaussian elimination over GF(2), and Smith normal form uses
-integer row and column operations.  Intermediate values use Python's
-arbitrary-precision integers throughout; nothing rounds and nothing
-overflows.
+whose zero pivots are met by integral congruences.  Its rows are scaled
+lazily: a row keeps the pivot D_s of the step at which it was last
+updated, its entries after k pivots are stored * D_k / D_s (an exact
+division, since they are minors), and it catches up only when a pivot
+links it, when it becomes the pivot row, or before a zero-pivot
+congruence.  Mod-2 systems are solved by Gaussian elimination over
+GF(2), and Smith normal form uses integer row and column operations.
+Intermediate values use Python's arbitrary-precision integers
+throughout; nothing rounds and nothing overflows.
 
 The 0x0 matrix is a legal value: its determinant is 1 (empty product)
 and its inertia is (0, 0, 0).
@@ -14,8 +18,9 @@ and its inertia is (0, 0, 0).
 Input is checked once, at the public boundary: SymmetricIntMatrix(rows)
 checks that the rows are square, integer and symmetric.  A matrix the
 library derives from checked parts (a block sum, a bordering, a deleted
-index, a blow-down in kirby) is wrapped with SymmetricIntMatrix._trusted,
-which skips those checks.
+index, a blow-down in kirby, the intersection matrix of a checked
+plumbing graph) is wrapped with SymmetricIntMatrix._trusted, which skips
+those checks.
 """
 
 from __future__ import annotations
@@ -168,15 +173,34 @@ def _eliminate(m: SymmetricIntMatrix) -> Tuple[int, Tuple[int, int, int]]:
     and an all-zero active block is the radical: det is D_n when r = n
     and 0 otherwise, n_zero is n - r, and n_minus is the number of sign
     changes in 1, D_1, ..., D_r (Jacobi).
+
+    Rows are scaled lazily.  Pivot k only rescales a row it does not
+    link by D_k / D_{k-1}, and such factors telescope, so each row is
+    stored with scale[i], the pivot D_s of the step s at which it was
+    last brought up to date: after k pivots its entries are stored
+    entry * D_k / scale[i], and that division is exact because the
+    result is a minor.  A row catches up when a pivot links it, when it
+    becomes the pivot row, and, for the whole active block, before
+    _pivot_first rearranges it.  Rows a pivot does not link cost
+    nothing, so a tree in vertex order takes O(n^2) steps, not O(n^3).
     """
     tri = [list(row[i:]) for i, row in enumerate(m.rows)]
     n = len(tri)
+    scale = [1] * n
     prev = 1
     rank = n_minus = 0
     for k in range(n):
         top = tri[k]
+        d = scale[k]
+        if d != prev:
+            top = tri[k] = [x * prev // d for x in top]
         p = top[0]
         if not p:
+            for i in range(k + 1, n):
+                d = scale[i]
+                if d != prev:
+                    tri[i] = [x * prev // d for x in tri[i]]
+                    scale[i] = prev
             active = _pivot_first(tri[k:])
             if active is None:
                 break
@@ -186,16 +210,18 @@ def _eliminate(m: SymmetricIntMatrix) -> Tuple[int, Tuple[int, int, int]]:
         rank += 1
         if (p < 0) != (prev < 0):
             n_minus += 1
-        for i in range(k + 1, n):
-            row = tri[i]
-            off = i - k
+        for off in range(1, n - k):
             c = top[off]
             if c:
-                for j in range(len(row)):
-                    row[j] = (row[j] * p - c * top[off + j]) // prev
-            else:  # plumbing forms are sparse: most rows only rescale
-                for j in range(len(row)):
-                    row[j] = row[j] * p // prev
+                row = tri[k + off]
+                d = scale[k + off]
+                if d == prev:
+                    for j in range(len(row)):
+                        row[j] = (row[j] * p - c * top[off + j]) // prev
+                else:  # catch up and eliminate in one pass
+                    for j in range(len(row)):
+                        row[j] = (row[j] * prev // d * p - c * top[off + j]) // prev
+                scale[k + off] = p
         prev = p
     det = prev if rank == n else 0
     return det, (rank - n_minus, n - rank, n_minus)
@@ -228,11 +254,14 @@ def solve_mod2(a: SymmetricIntMatrix, b: Sequence[int]):
     n = a.dim
     if len(b) != n:
         raise ValueError("right-hand side length must equal dim")
-    # rows packed as bitmasks, bit n holding the rhs
-    rows = [
-        sum((x & 1) << j for j, x in enumerate(row)) | ((bv & 1) << n)
-        for row, bv in zip(a.rows, b)
-    ]
+    # rows packed as bitmasks, bit n holding the rhs; only odd entries set a bit
+    rows = []
+    for row, bv in zip(a.rows, b):
+        mask = (bv & 1) << n
+        for j, x in enumerate(row):
+            if x & 1:
+                mask |= 1 << j
+        rows.append(mask)
     pivot_cols = []
     r = 0
     for c in range(n):

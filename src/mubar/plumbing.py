@@ -226,16 +226,21 @@ def star(center_weight: int, arms: Sequence[Sequence[int]]) -> PlumbingGraph:
 
 
 def intersection_matrix(g: PlumbingGraph) -> SymmetricIntMatrix:
-    """Weights on the diagonal, 1 for each edge, in vertex order."""
+    """Weights on the diagonal, 1 for each edge, in vertex order.
+
+    The graph was checked when it was built (integer weights, no
+    self-loops, no repeated edges), so the rows are symmetric and
+    integral by construction and are not validated again.
+    """
     n = g.n_vertices
-    rows = [[0] * n for _ in range(n)]
-    for i, w in enumerate(g.weights):
-        rows[i][i] = w
-    for u, v in g.edges:
-        i, j = g.index_of(u), g.index_of(v)
-        rows[i][j] = 1
-        rows[j][i] = 1
-    return SymmetricIntMatrix(rows)
+    rows = []
+    for i, (w, nbrs) in enumerate(zip(g.weights, g.adjacency)):
+        row = [0] * n
+        for j in nbrs:
+            row[j] = 1
+        row[i] = w
+        rows.append(tuple(row))
+    return SymmetricIntMatrix._trusted(tuple(rows))
 
 
 def is_homology_sphere(g: PlumbingGraph) -> bool:

@@ -146,6 +146,19 @@ def test_plumbing_invariants_bad_schema(capsys, tmp_path):
     assert code == 2
 
 
+def test_too_many_vertices_are_refused(capsys, tmp_path):
+    """Sigma(2, 3, 60001) has 10003 vertices: about 10^8 matrix slots."""
+    code, out, err = run(capsys, "brieskorn", "2", "3", "60001")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "10003 vertices" in err
+    n = cli.MAX_REPORT_VERTICES + 1
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(to_json_dict(star(-2, [[-2] * (n - 1)]))))
+    code, out, err = run(capsys, "plumbing", "invariants", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "%d vertices" % n in err
+
+
 def test_family_verify_human(capsys):
     code, out, _ = run(capsys, "family", "verify", "A", "--n-max", "2")
     assert code == 0

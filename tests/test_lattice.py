@@ -205,6 +205,69 @@ def test_zero_pivot_examples(rows, det, expected):
     assert inertia(m) == expected == numpy_inertia(rows)
 
 
+@st.composite
+def tree_rows(draw, max_dim=7, bound=4, min_dim=1):
+    """A weighted tree whose vertices come after their parents, as in a
+    plumbing's vertex order; weights may be 0, so later pivots can vanish."""
+    n = draw(st.integers(min_value=min_dim, max_value=max_dim))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.integers(min_value=-bound, max_value=bound))
+    for i in range(1, n):
+        parent = draw(st.integers(min_value=0, max_value=i - 1))
+        rows[i][parent] = rows[parent][i] = 1
+    return rows
+
+
+@st.composite
+def bordered_tree_rows(draw, max_dim=6, max_link=2, max_support=4):
+    """A tree bordered by a box vector and framed -1, as in surgery_search."""
+    rows = draw(tree_rows(max_dim=max_dim))
+    n = len(rows)
+    vec = [0] * n
+    for pos in draw(st.sets(st.integers(0, n - 1), max_size=max_support)):
+        vec[pos] = draw(st.sampled_from([v for v in range(-max_link, max_link + 1) if v]))
+    return [row + [v] for row, v in zip(rows, vec)] + [vec + [-1]]
+
+
+@st.composite
+def late_zero_rows(draw, max_dim=7, bound=3):
+    """A sparse form whose first pivot is not 1 and that has a zero later
+    on its diagonal, so a row no pivot has touched meets a zero pivot."""
+    n = draw(st.integers(min_value=3, max_value=max_dim))
+    vals = st.one_of(st.just(0), st.just(0), st.integers(-bound, bound))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(vals)
+    rows[0][0] = draw(st.sampled_from([-3, -2, -1, 2, 3]))
+    zero = draw(st.integers(min_value=1, max_value=n - 2))
+    rows[zero][zero] = 0
+    return rows
+
+
+@given(st.one_of(tree_rows(), bordered_tree_rows(), late_zero_rows()))
+def test_sparse_forms_match_oracles(rows):
+    """Sparse forms leave rows unlinked by pivots, which _eliminate scales lazily."""
+    m = SymmetricIntMatrix(rows)
+    assert determinant(m) == cofactor_determinant(rows)
+    assert inertia(m) == numpy_inertia(rows)
+
+
+def test_stale_rows_catch_up_before_a_zero_pivot():
+    """<-1> (+) H (+) <1>, H the hyperbolic plane.
+
+    The pivot -1 links no row, so rows 1 to 3 stay stored at scale 1
+    while their entries have changed sign.  Row 1 then gives a zero
+    pivot; row 3 must catch up before the congruence reads its -1, or
+    the elimination sees <-1> (+) H (+) <-1>.
+    """
+    rows = [[-1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    m = SymmetricIntMatrix(rows)
+    assert determinant(m) == 1 == cofactor_determinant(rows)
+    assert inertia(m) == (2, 0, 2) == numpy_inertia(rows)
+
+
 def test_solve_mod2_examples():
     m = SymmetricIntMatrix([[1]])
     assert solve_mod2(m, [1]) == [1]

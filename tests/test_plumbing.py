@@ -5,10 +5,14 @@ import json
 import pytest
 
 from mubar import (
+    FamilyId,
     InvariantReport,
     MuBarNotDivisible,
     PlumbingGraph,
     WuUndefined,
+    brieskorn_seifert,
+    canonical_plumbing,
+    family_plumbing,
     intersection_matrix,
     is_homology_sphere,
     mu_bar,
@@ -19,7 +23,7 @@ from mubar import (
     wu_square,
 )
 from mubar import plumbing as plumbing_mod
-from oracles import cofactor_determinant
+from oracles import bench_reference, cofactor_determinant
 
 
 def sigma_2_3_7():
@@ -239,3 +243,23 @@ def test_dot_output():
     assert '"a1_1" [label="-2"];' in dot
     assert '"c" -- "a1_1";' in dot
     assert dot.endswith("}\n")
+
+
+@pytest.mark.parametrize(
+    "tag, n",
+    [(tag, n) for tag in "AB" for n in (100, 200, 400)] + [("Sigma(2,3,2999)", None)],
+)
+def test_large_plumbings_match_brieskorn(tag, n):
+    """Sizes far past the benchmark's trees: unimodular, negative definite,
+    and the Rokhlin invariant of Brieskorn's Milnor-fiber signature."""
+    ref = bench_reference()
+    if n is None:
+        pqr = (2, 3, 2999)
+        g = canonical_plumbing(brieskorn_seifert(*pqr))
+    else:
+        pqr = ref.family_params(tag, n)
+        g = family_plumbing(FamilyId(tag, n))
+    rep = report(g)
+    assert abs(rep.det) == 1
+    assert rep.inertia == (0, 0, g.n_vertices)
+    assert rokhlin(g) == rep.rokhlin == ref.brieskorn_rokhlin(*pqr)
