@@ -34,18 +34,20 @@ def _print_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=False))
 
 
-# report builds the dense n x n intersection matrix; at 2000 vertices it
-# takes 1.5 s and 46 MB, and both grow as n^2, so 4000 vertices is
-# about 6 s and 190 MB.  Larger plumbings are refused before the matrix
-# is built.
+# report builds the dense n x n intersection matrix only for plumbings
+# with a cycle; at 2000 vertices that takes 1.5 s and 46 MB, and both
+# grow as n^2, so 4000 vertices is about 6 s and 190 MB.  Larger
+# plumbings with a cycle are refused before the matrix is built.  Trees
+# take report's O(n) leaf-elimination pass and are never refused.
 MAX_REPORT_VERTICES = 4000
 
 
 def _report(g: plumbing.PlumbingGraph) -> plumbing.InvariantReport:
-    if g.n_vertices > MAX_REPORT_VERTICES:
+    if not g.is_tree and g.n_vertices > MAX_REPORT_VERTICES:
         raise InputError(
-            "plumbing has %d vertices; invariants are computed for at most %d"
-            " vertices" % (g.n_vertices, MAX_REPORT_VERTICES)
+            "plumbing has a cycle and %d vertices; invariants of such"
+            " plumbings are computed for at most %d vertices"
+            % (g.n_vertices, MAX_REPORT_VERTICES)
         )
     return plumbing.report(g)
 

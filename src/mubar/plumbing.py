@@ -13,9 +13,14 @@ flips nothing mod 16 here because all values of interest are 0 or 8.
 rokhlin is (mu_bar / 8) mod 2 and is only defined for homology-sphere
 plumbings with 8 | mu_bar.
 
-report computes every invariant from one matrix, one elimination and
-one Wu solve (_wu); mu_bar and rokhlin read it.  wu_class and wu_square
-call _wu alone, and is_homology_sphere calls determinant alone.
+report computes every invariant, and mu_bar, rokhlin, wu_class,
+wu_square and is_homology_sphere read it.  It takes one of two paths,
+picked by the shape of the graph.  A tree (n - 1 edges; graphs are
+connected) takes one leaf-elimination pass over the adjacency lists,
+in integers and mod 2, with no matrix: O(n) steps (Neumann's plumbing
+calculus).  A graph with a cycle builds its intersection matrix and
+runs one dense elimination (lattice._eliminate) and one mod-2 Wu solve
+(_wu).
 """
 
 from __future__ import annotations
@@ -23,13 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .lattice import (
-    Mod2Failure,
-    SymmetricIntMatrix,
-    _eliminate,
-    determinant,
-    solve_mod2,
-)
+from .lattice import Mod2Failure, SymmetricIntMatrix, _eliminate, solve_mod2
 
 
 class WuUndefined(ValueError):
@@ -168,6 +167,11 @@ class PlumbingGraph:
         """Neighbor indices per vertex, in vertex order."""
         return self._adj
 
+    @property
+    def is_tree(self) -> bool:
+        """True when the graph has no cycle (it is connected by construction)."""
+        return len(self._edges) == len(self._ids) - 1
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlumbingGraph):
             return NotImplemented
@@ -245,32 +249,15 @@ def intersection_matrix(g: PlumbingGraph) -> SymmetricIntMatrix:
 
 def is_homology_sphere(g: PlumbingGraph) -> bool:
     """True when the boundary is an integral homology sphere (|det| = 1)."""
-    return abs(determinant(intersection_matrix(g))) == 1
+    return abs(report(g).det) == 1
 
 
-def _wu(m: SymmetricIntMatrix):
-    """The {0,1} Wu lift of m and its square w^T M w, or the Mod2Failure.
-
-    The lift solves M w = diag(M) mod 2; the solve fails exactly when
-    det M is even.
-    """
-    w = solve_mod2(m, m.diagonal())
-    if isinstance(w, Mod2Failure):
-        return w
-    rows = m.rows
-    on = [i for i, wi in enumerate(w) if wi]
-    return tuple(w), sum(rows[i][j] for i in on for j in on)
-
-
-def _defined_wu(g: PlumbingGraph):
-    """_wu of the intersection matrix; WuUndefined when det is even."""
-    wu = _wu(intersection_matrix(g))
-    if isinstance(wu, Mod2Failure):
-        raise WuUndefined(
-            "Wu class undefined: mod-2 intersection form is singular (%s)"
-            % wu.value
-        )
-    return wu
+def _with_wu(g: PlumbingGraph) -> "InvariantReport":
+    """report(g); WuUndefined when the determinant is even."""
+    rep = report(g)
+    if rep.wu is None:
+        raise WuUndefined("Wu class undefined: determinant %d is even" % rep.det)
+    return rep
 
 
 def wu_class(g: PlumbingGraph) -> Tuple[int, ...]:
@@ -279,20 +266,17 @@ def wu_class(g: PlumbingGraph) -> Tuple[int, ...]:
     Raises WuUndefined when the mod-2 system is singular (even
     determinant), in which case no unique Wu class exists.
     """
-    return _defined_wu(g)[0]
+    return _with_wu(g).wu
 
 
 def wu_square(g: PlumbingGraph) -> int:
     """Integer self-intersection w^T M w of the {0,1} Wu lift."""
-    return _defined_wu(g)[1]
+    return _with_wu(g).wu_square
 
 
 def mu_bar(g: PlumbingGraph) -> int:
     """signature(M) - wu_square(G); see the module docstring on sign."""
-    rep = report(g)
-    if rep.mu_bar is None:
-        raise WuUndefined("Wu class undefined: determinant %d is even" % rep.det)
-    return rep.mu_bar
+    return _with_wu(g).mu_bar
 
 
 def rokhlin(g: PlumbingGraph) -> int:
@@ -350,18 +334,163 @@ class InvariantReport:
         return out
 
 
+def _wu(m: SymmetricIntMatrix):
+    """The {0,1} Wu lift of m and its square w^T M w, or the Mod2Failure.
+
+    The lift solves M w = diag(M) mod 2; the solve fails exactly when
+    det M is even.  Only report's dense path uses it.
+    """
+    w = solve_mod2(m, m.diagonal())
+    if isinstance(w, Mod2Failure):
+        return w
+    rows = m.rows
+    on = [i for i, wi in enumerate(w) if wi]
+    return tuple(w), sum(rows[i][j] for i in on for j in on)
+
+
+def _tree_invariants(g: PlumbingGraph):
+    """(det, inertia, Wu lift or None, its square or None) of a tree.
+
+    One children-first pass from the leaves to vertex 0, then one pass
+    back for the Wu lift; see report for the rules.  O(n) steps.
+    """
+    adj = g.adjacency
+    weights = g.weights
+    n = len(weights)
+    # BFS order from vertex 0: every parent comes before its children
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        pv = parent[v]
+        for c in adj[v]:
+            if c != pv:
+                parent[c] = v
+                order.append(c)
+    # rational part: e_v = P_v / Q_v = w_v - S_v / Q_v over attached children
+    big_q = [1] * n
+    big_s = [0] * n
+    zero_child = [-1] * n  # the first child with P = 0
+    n_zero_children = [0] * n
+    det = 1
+    n_plus = n_zero = n_minus = 0
+    # mod-2 part: effective diagonal and right-hand side, forcing child
+    odd = [w & 1 for w in weights]
+    rhs = odd[:]
+    forcer = [-1] * n
+    singular_mod2 = False
+    for v in reversed(order):
+        u = parent[v]
+        q = big_q[v]
+        z = zero_child[v]
+        if z >= 0:  # {z, v} is a hyperbolic summand over Z
+            n_plus += 1
+            n_minus += 1
+            extra = n_zero_children[v] - 1
+            if extra:
+                n_zero += extra
+                det = 0
+            else:
+                det *= -q * big_q[z]
+        else:
+            p = weights[v] * q - big_s[v]
+            if not p:
+                if u < 0:
+                    n_zero += 1
+                    det = 0
+                else:
+                    if zero_child[u] < 0:
+                        zero_child[u] = v
+                    n_zero_children[u] += 1
+            else:
+                if (p < 0) == (q < 0):
+                    n_plus += 1
+                else:
+                    n_minus += 1
+                if u < 0:
+                    det *= p
+                else:
+                    big_s[u] = big_s[u] * p + big_q[u] * q
+                    big_q[u] *= p
+        if u < 0:
+            if forcer[v] < 0 and not odd[v]:
+                singular_mod2 = True
+        elif forcer[v] >= 0:  # x_v is fixed: a constant in u's equation
+            rhs[u] ^= rhs[forcer[v]]
+        elif odd[v]:  # x_v = rhs_v + x_u
+            odd[u] ^= 1
+            rhs[u] ^= rhs[v]
+        elif forcer[u] >= 0:  # a second child forcing x_u
+            singular_mod2 = True
+        else:  # x_u = rhs_v, and u's equation fixes x_v
+            forcer[u] = v
+    if singular_mod2:
+        return det, (n_plus, n_zero, n_minus), None, None
+    x = [0] * n
+    square = 0
+    for v in order:
+        u = parent[v]
+        f = forcer[v]
+        if f >= 0:
+            xv = x[v] = rhs[f]
+            xf = rhs[v] ^ (odd[v] & xv)
+            if u >= 0:
+                xf ^= x[u]
+            x[f] = xf
+        elif u < 0:
+            x[v] = rhs[v]
+        elif odd[v]:
+            x[v] = rhs[v] ^ x[u]
+        # else v is its parent's forcing child, set above
+        if x[v]:
+            square += weights[v]
+            if u >= 0 and x[u]:
+                square += 2
+    return det, (n_plus, n_zero, n_minus), tuple(x), square
+
+
 def report(g: PlumbingGraph) -> InvariantReport:
-    """Every invariant from one matrix, one elimination and one Wu solve."""
-    m = intersection_matrix(g)
-    det, (n_plus, n_zero, n_minus) = _eliminate(m)
-    wu = _wu(m)
-    lift = square = mb = rk = None
-    if not isinstance(wu, Mod2Failure):
-        lift, square = wu
-        mb = (n_plus - n_minus) - square
+    """Every invariant of the intersection form M of g in one computation.
+
+    On a tree, rooted at vertex 0, each vertex v is reached after its
+    children and all of it is in integers:
+
+    - leaf fold: v carries e_v = P_v / Q_v, where Q_v is the product of
+      P_c over its attached children c and P_v = w_v Q_v - S_v.  A child
+      with P_c != 0 pivots (the sign of P_c Q_c counts one to n_plus or
+      n_minus) and folds into its parent u by S_u <- S_u P_c + Q_u Q_c,
+      Q_u <- Q_u P_c, which is the congruence w_u -> w_u - 1 / e_c.
+    - hyperbolic split: a child c with P_c = 0 is not folded.  At its
+      parent u, {c, u} span [[0, 1], [1, *]], which is unimodular and
+      splits off over Z (inertia (1, 0, 1)); the subtrees under u and
+      under c become separate summands, so det gains -Q_u Q_c, and u
+      drops out of its parent's sum.  Each further zero child of u is
+      in the radical (n_zero + 1, det = 0), as is a zero pivot at the
+      root.
+    - mod-2 forcing: solving M x = diag M mod 2, a child c with an odd
+      effective diagonal gives x_c = b_c + x_u, absorbed into u's
+      diagonal and right-hand side; one with an even diagonal forces
+      x_u = b_c, and u's own equation then fixes x_c.  Two forcing
+      children of one vertex, or an even unforced root, mean det is
+      even and there is no unique lift.  Back-substitution runs from
+      the root, and w^T M w is the weight sum over the support plus
+      twice its edges.
+
+    A graph with a cycle builds M and runs one dense elimination and
+    one mod-2 solve.
+    """
+    if g.is_tree:
+        det, inertia, lift, square = _tree_invariants(g)
+    else:
+        m = intersection_matrix(g)
+        det, inertia = _eliminate(m)
+        wu = _wu(m)
+        lift, square = (None, None) if isinstance(wu, Mod2Failure) else wu
+    mb = rk = None
+    if lift is not None:
+        mb = (inertia[0] - inertia[2]) - square
         if abs(det) == 1 and mb % 8 == 0:
             rk = (mb // 8) % 2
-    return InvariantReport(det, (n_plus, n_zero, n_minus), lift, square, mb, rk)
+    return InvariantReport(det, inertia, lift, square, mb, rk)
 
 
 def to_json_dict(g: PlumbingGraph) -> dict:

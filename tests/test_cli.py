@@ -13,6 +13,7 @@ import mubar
 from mubar import FramedLinkMatrix, cli, star
 from mubar.cli import main
 from mubar.plumbing import to_json_dict
+from oracles import bench_reference
 
 
 @pytest.fixture
@@ -146,14 +147,25 @@ def test_plumbing_invariants_bad_schema(capsys, tmp_path):
     assert code == 2
 
 
-def test_too_many_vertices_are_refused(capsys, tmp_path):
-    """Sigma(2, 3, 60001) has 10003 vertices: about 10^8 matrix slots."""
-    code, out, err = run(capsys, "brieskorn", "2", "3", "60001")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "10003 vertices" in err
+def test_large_tree_runs_without_a_matrix(capsys):
+    """Sigma(2, 3, 60001) has 10003 vertices: a tree, so no n x n matrix."""
+    code, out, err = run(capsys, "brieskorn", "2", "3", "60001", "--json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["det"] == -1
+    assert data["inertia"] == [0, 0, 10003]
+    assert data["rokhlin"] == 0 == bench_reference().brieskorn_rokhlin(2, 3, 60001)
+
+
+def test_too_many_vertices_with_a_cycle_are_refused(capsys, tmp_path):
     n = cli.MAX_REPORT_VERTICES + 1
-    path = tmp_path / "path.json"
-    path.write_text(json.dumps(to_json_dict(star(-2, [[-2] * (n - 1)]))))
+    ids = ["v%d" % i for i in range(n)]
+    data = {
+        "vertices": [{"id": v, "weight": -2} for v in ids],
+        "edges": [[u, v] for u, v in zip(ids, ids[1:] + ids[:1])],
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data))
     code, out, err = run(capsys, "plumbing", "invariants", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "%d vertices" % n in err

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import collections
 import json
+import random
 
 import pytest
 
@@ -23,6 +25,7 @@ from mubar import (
     wu_square,
 )
 from mubar import plumbing as plumbing_mod
+from mubar.lattice import Mod2Failure, SymmetricIntMatrix
 from oracles import bench_reference, cofactor_determinant
 
 
@@ -152,31 +155,125 @@ def test_report_full_values():
     )
 
 
-def test_report_runs_one_elimination(monkeypatch):
+def test_report_path_selection(monkeypatch):
+    """Trees take the leaf-elimination pass; a cycle takes one dense pass."""
     from mubar import lattice
+
+    def unexpected(*args):
+        raise AssertionError("a tree must not reach the dense kernels")
+
+    for name in ("_eliminate", "solve_mod2", "intersection_matrix"):
+        monkeypatch.setattr(plumbing_mod, name, unexpected)
+    g = sigma_2_3_19()
+    rep = report(g)
+    assert (rep.det, rep.inertia) == (1, (0, 0, 6))
+    assert mu_bar(g) == 8
+    assert rokhlin(g) == 1
+    assert wu_class(g) == rep.wu
+    assert wu_square(g) == rep.wu_square
+    assert is_homology_sphere(g)
 
     calls = []
 
-    def counted(m):
-        calls.append(m.dim)
-        return lattice._eliminate(m)
+    def counted(kernel):
+        def run(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
 
-    def unexpected(m):
-        raise AssertionError("no second elimination may run")
+        return run
 
-    monkeypatch.setattr(plumbing_mod, "_eliminate", counted)
-    monkeypatch.setattr(plumbing_mod, "determinant", unexpected)
-    rep = report(sigma_2_3_19())
-    assert calls == [6]
-    assert (rep.det, rep.inertia) == (1, (0, 0, 6))
-    # mu_bar and rokhlin read report; the Wu class needs no elimination
-    assert mu_bar(sigma_2_3_19()) == 8
-    assert calls == [6, 6]
-    assert rokhlin(sigma_2_3_19()) == 1
-    assert calls == [6, 6, 6]
-    assert wu_class(sigma_2_3_19()) == rep.wu
-    assert wu_square(sigma_2_3_19()) == rep.wu_square
-    assert calls == [6, 6, 6]
+    monkeypatch.setattr(plumbing_mod, "_eliminate", counted(lattice._eliminate))
+    monkeypatch.setattr(plumbing_mod, "solve_mod2", counted(lattice.solve_mod2))
+    monkeypatch.setattr(plumbing_mod, "intersection_matrix", intersection_matrix)
+    triangle = PlumbingGraph(
+        [("a", -2), ("b", -2), ("c", -3)], [("a", "b"), ("b", "c"), ("c", "a")]
+    )
+    rep = report(triangle)
+    assert sorted(calls) == ["_eliminate", "solve_mod2"]
+    assert rep.det == -3 == cofactor_determinant(
+        intersection_matrix(triangle).to_lists()
+    )
+    assert (rep.wu, rep.wu_square) == ((1, 1, 1), -1)
+
+
+def _random_tree(rng, n, weights):
+    """A tree on n vertices with shuffled vertex order, edge order and ends."""
+    ids = ["v%d" % i for i in range(n)]
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+    rng.shuffle(edges)
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    order = ids[:]
+    rng.shuffle(order)
+    return PlumbingGraph([(v, rng.choice(weights)) for v in order], edges)
+
+
+def _zero_children(g, dense_det):
+    """Per vertex, its children (tree rooted at vertex 0) that pivot to 0.
+
+    A child c pivots to 0 in leaf elimination when the subtree under c
+    has determinant 0 while every subtree strictly below c does not.
+    Subtree determinants come from the dense kernel.
+    """
+    adj = g.adjacency
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for c in adj[v]:
+            if c not in parent:
+                parent[c] = v
+                order.append(c)
+    below = {v: [v] for v in order}
+    for v in reversed(order[1:]):
+        below[parent[v]] += below[v]
+    rows = intersection_matrix(g).rows
+    sub_det = {
+        v: dense_det(SymmetricIntMatrix([[rows[i][j] for j in vs] for i in vs]))
+        for v, vs in below.items()
+    }
+    zeros = {v: 0 for v in order}
+    for c in order[1:]:
+        if sub_det[c] == 0 and all(sub_det[d] for d in below[c][1:]):
+            zeros[parent[c]] += 1
+    return zeros, sub_det
+
+
+def test_tree_pass_matches_dense_kernels():
+    """report on trees against lattice._eliminate and _wu on the matrix."""
+    from mubar import lattice
+
+    rng = random.Random(20261022)
+    regimes = (
+        [0, 0, 0, -1, 1, -2, 2],
+        [0, -1, -2, -3, -4, 1, 2, 3],
+        [-2, -2, -3, -1, -5, 0],
+    )
+    seen = collections.Counter()
+    for _ in range(1500):
+        g = _random_tree(rng, rng.randint(1, 11), rng.choice(regimes))
+        m = intersection_matrix(g)
+        det, inertia = lattice._eliminate(m)
+        wu = plumbing_mod._wu(m)
+        lift, square = (None, None) if isinstance(wu, Mod2Failure) else wu
+        rep = report(g)
+        assert (rep.det, rep.inertia, rep.wu, rep.wu_square) == (
+            det, inertia, lift, square,
+        ), g
+        zeros, sub_det = _zero_children(g, lambda a: lattice._eliminate(a)[0])
+        most = max(zeros.values())
+        seen["one zero child"] += most == 1
+        seen["several zero children"] += most >= 2
+        seen["zero root"] += det == 0 and all(
+            d for v, d in sub_det.items() if v
+        )
+        seen["even det"] += det % 2 == 0
+        seen["odd det"] += det % 2 == 1
+        seen["positive weight"] += max(g.weights) > 0
+        seen["root is a leaf"] += len(g.adjacency[0]) == 1
+    for case in (
+        "one zero child", "several zero children", "zero root", "even det",
+        "odd det", "positive weight", "root is a leaf",
+    ):
+        assert seen[case] > 0, case
 
 
 def test_report_on_even_determinant():
