@@ -41,6 +41,12 @@ def _print_json(data) -> None:
 # take report's O(n) leaf-elimination pass and are never refused.
 MAX_REPORT_VERTICES = 4000
 
+# family verify checks members 1..N, each O(n) to O(n log n) in its
+# n + 5 vertices, so the run grows as N^2: on one core of a shared
+# 2-core host, N = 1000 takes about 2.8 s and N = 2000 about 8.4 s,
+# and N = 4000 would take over half a minute.  Larger N is refused.
+MAX_FAMILY_N = 2000
+
 
 def _report(g: plumbing.PlumbingGraph) -> plumbing.InvariantReport:
     if not g.is_tree and g.n_vertices > MAX_REPORT_VERTICES:
@@ -122,8 +128,8 @@ def _cmd_plumbing_invariants(args) -> int:
 
 
 def _cmd_family_verify(args) -> int:
-    if args.n_max < 1:
-        raise InputError("--n-max must be >= 1")
+    if not 1 <= args.n_max <= MAX_FAMILY_N:
+        raise InputError("--n-max must be between 1 and %d" % MAX_FAMILY_N)
     if args.iterate is not None and args.iterate < 1:
         raise InputError("--iterate must be >= 1")
     records = [

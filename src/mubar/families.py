@@ -11,10 +11,10 @@ iteration that produces the (n+1)-st plumbing from the n-th.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import List, Tuple
 
+from ._record import FrozenRecord, Record
 from .kirby import (
     BLACK,
     GRAY,
@@ -33,18 +33,19 @@ from .seifert import brieskorn_seifert, canonical_plumbing, plumbings_isomorphic
 FAMILY_TAGS = ("A", "B")
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(FrozenRecord):
     """One member of family A or B."""
 
+    __slots__ = ("tag", "n")
     tag: str
     n: int
 
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError("family tag must be 'A' or 'B', got %r" % (self.tag,))
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, tag: str, n: int):
+        if tag not in FAMILY_TAGS:
+            raise ValueError("family tag must be 'A' or 'B', got %r" % (tag,))
+        if not isinstance(n, int) or n < 1:
             raise ValueError("n must be an integer >= 1")
+        self._init(tag, n)
 
 
 def brieskorn_params(f: FamilyId) -> Tuple[int, int, int]:
@@ -76,12 +77,15 @@ def family_plumbing(f: FamilyId) -> PlumbingGraph:
     return star(-1, [single, triple, chain])
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(FrozenRecord):
+    __slots__ = ("name", "passed", "expected", "actual")
     name: str
     passed: bool
     expected: object
     actual: object
+
+    def __init__(self, name: str, passed: bool, expected: object, actual: object):
+        self._init(name, passed, expected, actual)
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,19 +96,29 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class FamilyVerification:
+class FamilyVerification(FrozenRecord):
     """Invariant profile of one family member, checked where expected.
 
     For odd n the wu_square / mu_bar / rokhlin values are asserted
     (-13-n, 8, 1); for even n they are only observed, never asserted.
     """
 
+    __slots__ = ("family", "n", "params", "checks", "observed")
     family: str
     n: int
     params: Tuple[int, int, int]
     checks: Tuple[CheckResult, ...]
     observed: Tuple[Tuple[str, int], ...]
+
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        params: Tuple[int, int, int],
+        checks: Tuple[CheckResult, ...],
+        observed: Tuple[Tuple[str, int], ...],
+    ):
+        self._init(family, n, params, checks, observed)
 
     @property
     def ok(self) -> bool:
@@ -163,8 +177,7 @@ def verify_family(f: FamilyId) -> FamilyVerification:
     )
 
 
-@dataclass
-class IterationVerification:
+class IterationVerification(Record):
     """Outcome of propagating searched candidates through the iteration.
 
     candidates are all search hits on the n = 1 plumbing; survivors are
@@ -176,6 +189,16 @@ class IterationVerification:
     the reported, non-fatal flag for an empty survivor list.
     """
 
+    __slots__ = (
+        "family",
+        "steps",
+        "max_link",
+        "max_support",
+        "candidates",
+        "survivors",
+        "step_records",
+        "no_candidate",
+    )
     family: str
     steps: int
     max_link: int
@@ -184,6 +207,28 @@ class IterationVerification:
     survivors: Tuple[Tuple[int, ...], ...]
     step_records: Tuple[dict, ...]
     no_candidate: bool
+
+    def __init__(
+        self,
+        family: str,
+        steps: int,
+        max_link: int,
+        max_support: int,
+        candidates: Tuple[Tuple[int, ...], ...],
+        survivors: Tuple[Tuple[int, ...], ...],
+        step_records: Tuple[dict, ...],
+        no_candidate: bool,
+    ):
+        self._init(
+            family,
+            steps,
+            max_link,
+            max_support,
+            candidates,
+            survivors,
+            step_records,
+            no_candidate,
+        )
 
     @property
     def ok(self) -> bool:

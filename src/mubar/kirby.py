@@ -30,10 +30,10 @@ that do not link the blown-down component are copied unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ._record import FrozenRecord, Record
 from .lattice import SymmetricIntMatrix, determinant
 from .plumbing import PlumbingGraph, intersection_matrix
 
@@ -59,14 +59,15 @@ class IterationCap(RuntimeError):
     """reduce exceeded its step cap."""
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(FrozenRecord):
+    __slots__ = ("id", "tag")
     id: str
     tag: str
 
-    def __post_init__(self):
-        if self.tag not in (GRAY, BLACK):
-            raise ValueError("tag must be 'gray' or 'black', got %r" % (self.tag,))
+    def __init__(self, id: str, tag: str):
+        if tag not in (GRAY, BLACK):
+            raise ValueError("tag must be 'gray' or 'black', got %r" % (tag,))
+        self._init(id, tag)
 
 
 class FramedLinkMatrix:
@@ -383,13 +384,17 @@ def gray_plumbing(link: FramedLinkMatrix) -> PlumbingGraph:
     return PlumbingGraph(vertices, edges)
 
 
-@dataclass
-class SearchHit:
+class SearchHit(Record):
     """One surgery-curve candidate: its linking vector (in vertex
     order) and the trace of the reduction that reached [[0]]."""
 
+    __slots__ = ("vector", "trace")
+    _hidden = ("trace",)
     vector: Tuple[int, ...]
-    trace: List[dict] = field(repr=False)
+    trace: List[dict]
+
+    def __init__(self, vector: Tuple[int, ...], trace: List[dict]):
+        self._init(vector, trace)
 
 
 def surgery_search(

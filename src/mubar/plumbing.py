@@ -25,9 +25,9 @@ runs one dense elimination (lattice._eliminate) and one mod-2 Wu solve
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._record import FrozenRecord
 from .lattice import Mod2Failure, SymmetricIntMatrix, _eliminate, solve_mod2
 
 
@@ -47,7 +47,7 @@ class PlumbingGraph:
     rejected, and the graph must be connected.
     """
 
-    __slots__ = ("_ids", "_weights", "_index", "_edges", "_adj", "_adj_ids")
+    __slots__ = ("_ids", "_weights", "_index", "_edges", "_adj")
 
     def __init__(
         self,
@@ -112,7 +112,6 @@ class PlumbingGraph:
         self._index = index
         self._edges = tuple(edge_list)
         self._adj = tuple(tuple(a) for a in adj)
-        self._adj_ids = None
 
     @classmethod
     def _from_parts(cls, ids, weights, index, edges, adj) -> "PlumbingGraph":
@@ -126,7 +125,6 @@ class PlumbingGraph:
         g._index = index
         g._edges = edges
         g._adj = adj
-        g._adj_ids = None
         return g
 
     @property
@@ -152,12 +150,8 @@ class PlumbingGraph:
         return self._weights[self._index[vid]]
 
     def neighbors(self, vid: str) -> Tuple[str, ...]:
-        if self._adj_ids is None:
-            ids = self._ids
-            self._adj_ids = tuple(
-                tuple(ids[i] for i in a) for a in self._adj
-            )
-        return self._adj_ids[self._index[vid]]
+        ids = self._ids
+        return tuple(ids[i] for i in self._adj[self._index[vid]])
 
     def degree(self, vid: str) -> int:
         return len(self._adj[self._index[vid]])
@@ -294,8 +288,7 @@ def rokhlin(g: PlumbingGraph) -> int:
     return rep.rokhlin
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(FrozenRecord):
     """Everything the intersection form knows about one plumbing.
 
     det and inertia are always present.  wu, wu_square and mu_bar are
@@ -303,6 +296,7 @@ class InvariantReport:
     is a homology-sphere plumbing with 8 | mu_bar.
     """
 
+    __slots__ = ("det", "inertia", "wu", "wu_square", "mu_bar", "rokhlin")
     det: int
     inertia: Tuple[int, int, int]
     wu: Optional[Tuple[int, ...]]
@@ -310,16 +304,25 @@ class InvariantReport:
     mu_bar: Optional[int]
     rokhlin: Optional[int]
 
-    def __post_init__(self):
-        if self.mu_bar is not None:
-            n_plus, _, n_minus = self.inertia
-            if self.mu_bar != (n_plus - n_minus) - self.wu_square:
+    def __init__(
+        self,
+        det: int,
+        inertia: Tuple[int, int, int],
+        wu: Optional[Tuple[int, ...]],
+        wu_square: Optional[int],
+        mu_bar: Optional[int],
+        rokhlin: Optional[int],
+    ):
+        if mu_bar is not None:
+            n_plus, _, n_minus = inertia
+            if mu_bar != (n_plus - n_minus) - wu_square:
                 raise ValueError("mu_bar must equal signature - wu_square")
-        if self.rokhlin is not None:
-            if self.mu_bar is None or self.mu_bar % 8:
+        if rokhlin is not None:
+            if mu_bar is None or mu_bar % 8:
                 raise ValueError("rokhlin present but mu_bar not divisible by 8")
-            if self.rokhlin != (self.mu_bar // 8) % 2:
+            if rokhlin != (mu_bar // 8) % 2:
                 raise ValueError("rokhlin must equal (mu_bar / 8) mod 2")
+        self._init(det, inertia, wu, wu_square, mu_bar, rokhlin)
 
     def to_json_dict(self) -> dict:
         out: dict = {"det": self.det, "inertia": list(self.inertia)}
@@ -348,24 +351,31 @@ def _wu(m: SymmetricIntMatrix):
     return tuple(w), sum(rows[i][j] for i in on for j in on)
 
 
-def _tree_invariants(g: PlumbingGraph):
-    """(det, inertia, Wu lift or None, its square or None) of a tree.
+def _bfs_tree(adj, root: int):
+    """BFS order of a tree from root, and each vertex's parent (-1 at root).
 
-    One children-first pass from the leaves to vertex 0, then one pass
-    back for the Wu lift; see report for the rules.  O(n) steps.
+    Every parent comes before its children in the order.
     """
-    adj = g.adjacency
-    weights = g.weights
-    n = len(weights)
-    # BFS order from vertex 0: every parent comes before its children
-    parent = [-1] * n
-    order = [0]
+    parent = [-1] * len(adj)
+    order = [root]
     for v in order:
         pv = parent[v]
         for c in adj[v]:
             if c != pv:
                 parent[c] = v
                 order.append(c)
+    return order, parent
+
+
+def _tree_invariants(g: PlumbingGraph):
+    """(det, inertia, Wu lift or None, its square or None) of a tree.
+
+    One children-first pass from the leaves to vertex 0, then one pass
+    back for the Wu lift; see report for the rules.  O(n) steps.
+    """
+    weights = g.weights
+    n = len(weights)
+    order, parent = _bfs_tree(g.adjacency, 0)
     # rational part: e_v = P_v / Q_v = w_v - S_v / Q_v over attached children
     big_q = [1] * n
     big_s = [0] * n

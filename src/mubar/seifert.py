@@ -10,30 +10,34 @@ so the orbifold Euler number is e = e0 + sum b_i / a_i = -1 / (p q r).
 The canonical negative-definite plumbing is star-shaped: the center
 carries e0 and arm i carries -c_1, ..., -c_k for the negative
 continued fraction a_i / b_i = [c_1, ..., c_k].
+
+plumbings_isomorphic compares two plumbing trees by the canonical-label
+tree isomorphism of Aho, Hopcroft and Ullman: leaf peeling finds the
+centers, and one children-first pass over the vertex indices interns
+(weight, sorted child labels) as integers.  It costs O(n log n) and
+uses no recursion, so trees of any depth are compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from .plumbing import PlumbingGraph, star
+from ._record import FrozenRecord
+from .plumbing import PlumbingGraph, _bfs_tree, star
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(FrozenRecord):
     """Normalized Seifert invariants (e0; (a_1, b_1), ..., (a_k, b_k))."""
 
+    __slots__ = ("e0", "cone_pairs")
     e0: int
     cone_pairs: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "cone_pairs", tuple(
-            (int(a), int(b)) for a, b in self.cone_pairs
-        ))
-        for a, b in self.cone_pairs:
+    def __init__(self, e0: int, cone_pairs: Iterable[Tuple[int, int]]):
+        cone_pairs = tuple((int(a), int(b)) for a, b in cone_pairs)
+        for a, b in cone_pairs:
             if a <= 1:
                 raise ValueError("cone order must be >= 2, got %d" % a)
             if not 0 < b < a:
@@ -42,6 +46,7 @@ class SeifertData:
                 )
             if gcd(a, b) != 1:
                 raise ValueError("pair (%d, %d) is not coprime" % (a, b))
+        self._init(e0, cone_pairs)
 
     def _euler_numerator(self) -> Tuple[int, int]:
         """(e * A, A) with A the product of the cone orders a_i; e * A is an integer."""
@@ -192,19 +197,19 @@ def plumbing_to_seifert(g: PlumbingGraph) -> SeifertData:
     )
 
 
-def _tree_centers(g: PlumbingGraph) -> List[str]:
-    """The one or two middle vertices, by iterated leaf removal."""
-    n = g.n_vertices
+def _tree_centers(adj) -> List[int]:
+    """The one or two middle vertex indices, by iterated leaf removal."""
+    n = len(adj)
     if n <= 2:
-        return list(g.vertex_ids)
-    deg = {v: g.degree(v) for v in g.vertex_ids}
-    layer = [v for v in g.vertex_ids if deg[v] == 1]
+        return list(range(n))
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] == 1]
     remaining = n
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
         for v in layer:
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 deg[u] -= 1
                 if deg[u] == 1:
                     nxt.append(u)
@@ -212,18 +217,38 @@ def _tree_centers(g: PlumbingGraph) -> List[str]:
     return layer
 
 
-def _rooted_code(g: PlumbingGraph, v: str, parent: Optional[str]):
-    children = sorted(
-        _rooted_code(g, u, v) for u in g.neighbors(v) if u != parent
-    )
-    return (g.weight(v), tuple(children))
+def _root_label(adj, weights, root: int, table: dict) -> int:
+    """Integer label of the tree rooted at root, interned in table.
+
+    Children come before their parent (reverse BFS order), and each
+    vertex gets the label of (weight, sorted child labels).  Two rooted
+    trees labelled through one table get the same label exactly when
+    they are isomorphic as weighted rooted trees.
+    """
+    order, parent = _bfs_tree(adj, root)
+    kids: List[List[int]] = [[] for _ in adj]
+    for v in reversed(order):
+        k = kids[v]
+        k.sort()
+        label = table.setdefault((weights[v], tuple(k)), len(table))
+        pv = parent[v]
+        if pv >= 0:
+            kids[pv].append(label)
+    return label
 
 
 def plumbings_isomorphic(g1: PlumbingGraph, g2: PlumbingGraph) -> bool:
     """Weight-preserving graph isomorphism of plumbing trees.
 
-    Canonical rooted codes at the tree centers; inputs must be trees
-    (every star-shaped plumbing is one).
+    The canonical-label tree isomorphism of Aho, Hopcroft and Ullman
+    (The Design and Analysis of Computer Algorithms, 1974, 3.2) on
+    vertex indices: g1 is rooted at one of its centers and labelled
+    children first, then each center of g2 is tried with the same
+    label table.  Every isomorphism maps centers to centers, so the
+    trees are isomorphic exactly when some root label of g2 equals that
+    of g1.  O(n log n) for the sorts, iterative, so tree depth is not
+    bounded by the recursion limit.  Inputs must be trees (every
+    star-shaped plumbing is one).
     """
     for g in (g1, g2):
         if len(g.edges) != g.n_vertices - 1:
@@ -232,6 +257,10 @@ def plumbings_isomorphic(g1: PlumbingGraph, g2: PlumbingGraph) -> bool:
         return False
     if sorted(g1.weights) != sorted(g2.weights):
         return False
-    code1 = min(_rooted_code(g1, c, None) for c in _tree_centers(g1))
-    code2 = min(_rooted_code(g2, c, None) for c in _tree_centers(g2))
-    return code1 == code2
+    table: dict = {}
+    adj1 = g1.adjacency
+    target = _root_label(adj1, g1.weights, _tree_centers(adj1)[0], table)
+    adj2, w2 = g2.adjacency, g2.weights
+    return any(
+        _root_label(adj2, w2, c, table) == target for c in _tree_centers(adj2)
+    )

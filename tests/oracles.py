@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they validate: determinants by
 recursive cofactor expansion, Smith forms via sympy, inertia via numpy
-eigenvalues, and a from-scratch restatement of the blow-down twist for
-the exhaustive search oracle.  The Rokhlin invariant of a Brieskorn
+eigenvalues, a from-scratch restatement of the blow-down twist for
+the exhaustive search oracle, and graph isomorphism by trying vertex
+bijections.  The Rokhlin invariant of a Brieskorn
 sphere comes from the benchmark's reference, Brieskorn's Milnor-fiber
 signature, which never imports mubar.
 """
@@ -121,3 +122,41 @@ def brute_force_search_vectors(weight_rows, max_link):
         if naive_unit_reduction(aug) == [[0]]:
             hits.append(tuple(vec))
     return sorted(hits)
+
+
+def brute_force_isomorphic(weights1, edges1, weights2, edges2):
+    """Weighted graph isomorphism by trying weight-preserving bijections.
+
+    Vertices are 0..n-1 and edges are pairs of indices.  Vertex v of the
+    first graph goes, in turn, to each unused vertex of the same weight
+    in the second; a partial map is dropped as soon as it sends an edge
+    to a non-edge or a non-edge to an edge.  Exponential; for small n.
+    """
+    n = len(weights1)
+    if n != len(weights2) or len(edges1) != len(edges2):
+        return False
+    adj1 = {frozenset(e) for e in edges1}
+    adj2 = {frozenset(e) for e in edges2}
+    image = []
+    used = [False] * n
+
+    def extend(v):
+        if v == n:
+            return True
+        for u in range(n):
+            if used[u] or weights2[u] != weights1[v]:
+                continue
+            if any(
+                (frozenset((v, x)) in adj1) != (frozenset((u, image[x])) in adj2)
+                for x in range(v)
+            ):
+                continue
+            used[u] = True
+            image.append(u)
+            if extend(v + 1):
+                return True
+            used[u] = False
+            image.pop()
+        return False
+
+    return extend(0)

@@ -200,6 +200,19 @@ def test_family_verify_bad_args(capsys):
     assert code == 2
 
 
+def test_family_verify_refuses_n_max_above_the_cap(capsys, monkeypatch):
+    from mubar import families as fam_mod
+
+    def no_work(f):
+        raise AssertionError("a refused run must verify no member")
+
+    monkeypatch.setattr(fam_mod, "verify_family", no_work)
+    n = cli.MAX_FAMILY_N + 1
+    code, out, err = run(capsys, "family", "verify", "B", "--n-max", str(n))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(cli.MAX_FAMILY_N) in err
+
+
 def test_family_verify_failure_exit_code(capsys, monkeypatch):
     from mubar import families as fam_mod
     from mubar.families import CheckResult, FamilyVerification

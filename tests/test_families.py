@@ -135,6 +135,12 @@ def test_verify_family_range():
             assert verify_family(FamilyId(tag, n)).ok
 
 
+@pytest.mark.parametrize("tag", ["A", "B"])
+def test_verify_family_on_a_deep_member(tag):
+    """n = 2000: a 2005-vertex plumbing whose chain arm is 2000 long."""
+    assert verify_family(FamilyId(tag, 2000)).ok
+
+
 def test_mu_bar_alternates_with_parity():
     for tag in ("A", "B"):
         for n in range(1, 7):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubar import (
+    PlumbingGraph,
     SeifertData,
     brieskorn_seifert,
     canonical_plumbing,
@@ -21,7 +23,7 @@ from mubar import (
     rokhlin,
     star,
 )
-from oracles import bench_reference
+from oracles import bench_reference, brute_force_isomorphic
 
 
 def test_seifert_data_validation():
@@ -224,6 +226,89 @@ def test_plumbings_isomorphic_rejects_non_tree():
     )
     with pytest.raises(ValueError):
         plumbings_isomorphic(cyc, cyc)
+
+
+def _index_edges(g):
+    return [(g.index_of(u), g.index_of(v)) for u, v in g.edges]
+
+
+def _shuffled_copy(rng, g):
+    """g under new ids, with vertices, edges and edge ends in random order."""
+    new = {v: "u%d" % i for i, v in enumerate(rng.sample(g.vertex_ids, g.n_vertices))}
+    vertices = [(new[v], w) for v, w in zip(g.vertex_ids, g.weights)]
+    rng.shuffle(vertices)
+    edges = [
+        (new[a], new[b]) if rng.random() < 0.5 else (new[b], new[a])
+        for a, b in g.edges
+    ]
+    rng.shuffle(edges)
+    return PlumbingGraph(vertices, edges)
+
+
+def _random_tree(rng, weights):
+    """A random tree shape carrying the given weights in vertex order."""
+    ids = [str(i) for i in range(len(weights))]
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, len(ids))]
+    return PlumbingGraph(zip(ids, weights), edges)
+
+
+def _diameter(g):
+    """Edges on a longest path: BFS to a farthest vertex, then from it."""
+    adj = g.adjacency
+    far = 0
+    for _ in range(2):
+        dist = {far: 0}
+        queue = [far]
+        for v in queue:
+            for u in adj[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        far = max(dist, key=dist.get)
+    return dist[far]
+
+
+def test_plumbings_isomorphic_matches_brute_force():
+    """plumbings_isomorphic against trying every weight-preserving vertex
+    bijection, on random trees of up to 7 vertices: shuffled relabelled
+    copies, and trees with the same weights on another random shape."""
+    rng = random.Random(20261022)
+    seen = collections.Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        g = _random_tree(rng, [rng.choice((-1, -2, -2, -3)) for _ in range(n)])
+        if rng.random() < 0.5:
+            h = _shuffled_copy(rng, g)
+        else:
+            weights = list(g.weights)
+            rng.shuffle(weights)
+            h = _shuffled_copy(rng, _random_tree(rng, weights))
+        expected = brute_force_isomorphic(
+            g.weights, _index_edges(g), h.weights, _index_edges(h)
+        )
+        assert plumbings_isomorphic(g, h) is expected, (g, h)
+        assert plumbings_isomorphic(h, g) is expected, (h, g)
+        degrees = sorted(len(a) for a in g.adjacency)
+        look_alike = degrees == sorted(len(a) for a in h.adjacency)
+        centers = "two centers" if _diameter(g) % 2 else "one center"
+        seen[centers, "isomorphic" if expected else "not isomorphic"] += 1
+        seen["same weights and degrees, not isomorphic"] += (
+            look_alike and not expected
+        )
+    for centers in ("one center", "two centers"):
+        for kind in ("isomorphic", "not isomorphic"):
+            assert seen[centers, kind] > 100, (centers, kind)
+    assert seen["same weights and degrees, not isomorphic"] > 100
+
+
+def test_plumbings_isomorphic_on_a_deep_tree():
+    """Sigma(2, 3, 60001) has a 10,000-vertex arm; its canonical plumbing
+    against a relabelled copy with shuffled vertex and edge order."""
+    g = canonical_plumbing(brieskorn_seifert(2, 3, 60001))
+    assert g.n_vertices > 10000
+    h = _shuffled_copy(random.Random(60001), g)
+    assert plumbings_isomorphic(g, h)
+    assert plumbings_isomorphic(h, g)
 
 
 def test_family_matrix_matches_canonical_sigma_2_5_17():
